@@ -1,9 +1,8 @@
 """Analytical fast-path surrogates: closed-form slowdown estimates.
 
-The third execution tier. Where the event loop (:mod:`repro.harness`)
-simulates every access and the columnar backend (:mod:`repro.vector`)
-replays the same semantics batch-wise, :mod:`repro.analytic` replaces
-per-access simulation with per-phase math:
+The fast execution tier. Where the event loop (:mod:`repro.harness`)
+simulates every access, :mod:`repro.analytic` replaces per-access
+simulation with per-phase math:
 
 1. :mod:`repro.analytic.reuse` samples each core's deterministic trace
    generator and extracts a joint reuse-distance / time-distance

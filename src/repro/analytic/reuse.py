@@ -130,8 +130,8 @@ def extract_profile(  # lint: pure -- per-process memo cache, transparent
     """Sample ``mix``'s generator for ``core`` and summarise its reuse.
 
     Uses :meth:`~repro.workloads.mixes.WorkloadMix.trace_for_core`, so
-    the sampled stream is byte-for-byte the prefix the event and
-    columnar tiers would simulate. Profiles are memoised per process on
+    the sampled stream is byte-for-byte the prefix the event tier would
+    simulate. Profiles are memoised per process on
     ``(spec, mix seed, core, sample length)``.
     """
     key = (mix.specs[core], mix.seed, core, sample_accesses)

@@ -1,7 +1,7 @@
 """Analytic cell runner and the fidelity → engine mapping.
 
 :func:`run_analytic` produces the same :class:`~repro.harness.runner.RunResult`
-shape the event and columnar tiers produce, so campaign stores, error
+shape the event tier produces, so campaign stores, error
 surveys, fairness metrics and the fleet tier consume analytic cells
 unchanged:
 
@@ -34,13 +34,12 @@ from repro.harness.runner import QuantumRecord, RunProfile, RunResult
 from repro.workloads.mixes import WorkloadMix
 
 #: Fidelity tiers a campaign cell may declare, fastest first.
-FIDELITY_TIERS: Tuple[str, ...] = ("analytical", "columnar", "event")
+FIDELITY_TIERS: Tuple[str, ...] = ("analytical", "event")
 
 #: Fidelity tier → ``SystemConfig.engine`` value. The engine is what the
 #: store fingerprints, so two tiers of the same cell never collide.
 ENGINE_FOR_FIDELITY: Dict[str, str] = {
     "analytical": "analytic",
-    "columnar": "columnar",
     "event": "event",
 }
 
@@ -48,8 +47,7 @@ ENGINE_FOR_FIDELITY: Dict[str, str] = {
 def resolve_fidelity(config: SystemConfig, fidelity: str) -> SystemConfig:
     """``config`` with its engine set for ``fidelity``.
 
-    An empty fidelity means "whatever ``config.engine`` already says"
-    (so ``--engine columnar`` keeps working without ``--fidelity``).
+    An empty fidelity means "whatever ``config.engine`` already says".
     """
     if not fidelity:
         return config

@@ -20,7 +20,7 @@ Three consumers share this one structure:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 from repro.cache.replacement import Line, LruSet
 from repro.config import CacheConfig
@@ -90,48 +90,6 @@ class AuxiliaryTagStore:
         self.sampled_misses += 1
         ats_set.insert(Line(tag))
         return AtsOutcome(sampled=True, hit=False)
-
-    def access_batch(
-        self, addrs: Sequence[int]
-    ) -> Tuple[List[bool], List[bool]]:
-        """Present a span of accesses at once (the columnar backend).
-
-        Returns ``(sampled, ats_hit)`` masks aligned with ``addrs`` —
-        exactly ``[access(a).sampled, access(a).hit]`` per address — and
-        updates every counter identically to per-access calls. Set and
-        tag extraction run as one vectorized pass; the residual per-set
-        LRU walk only touches sampled sets and processes each set's
-        accesses in arrival order (LRU state across disjoint sets is
-        independent, and the counters are order-free sums, so grouping
-        by set is bit-identical to the interleaved scalar order).
-        """
-        from repro.vector import columns as col
-        from repro.vector.passes import llc_classify
-
-        n = len(addrs)
-        self.total_accesses += n
-        set_idx, tag_col = llc_classify(col.column(addrs), self.config)
-        tags = col.tolist(tag_col)
-        sampled = [False] * n
-        ats_hit = [False] * n
-        sets_get = self._sets.get
-        for set_index, positions in col.group_by(set_idx):
-            ats_set = sets_get(set_index)
-            if ats_set is None:
-                continue
-            for i in positions:
-                sampled[i] = True
-                tag = tags[i]
-                position = ats_set.stack_position(tag)
-                if position is not None:
-                    self.sampled_hits += 1
-                    self.way_hits[position] += 1
-                    ats_set.touch(ats_set.lines[-1 - position])
-                    ats_hit[i] = True
-                else:
-                    self.sampled_misses += 1
-                    ats_set.insert(Line(tag))
-        return sampled, ats_hit
 
     # -- sampled-to-total scaling (Section 4.4) ---------------------------
     @property

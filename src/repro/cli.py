@@ -195,17 +195,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "'repro telemetry-faults' for the full sweep")
     parser.add_argument("--telemetry-seed", type=int, default=0,
                         help="seed for the telemetry fault injector")
-    parser.add_argument("--engine", type=str, default=None,
-                        choices=("event", "columnar"),
-                        help="execution backend (default: event; columnar "
-                             "is the batched backend, bit-identical — see "
-                             "DESIGN.md §9)")
     parser.add_argument("--fidelity", type=str, default=None,
-                        choices=("analytical", "columnar", "event"),
+                        choices=("analytical", "event"),
                         help="fidelity tier: 'analytical' is the closed-form "
-                             "surrogate (no simulation), 'columnar' the "
-                             "bit-exact batched backend, 'event' the oracle "
-                             "(see docs/fidelity.md)")
+                             "surrogate (no simulation), 'event' the "
+                             "simulator and oracle (see docs/fidelity.md)")
     parser.add_argument("--profile", action="store_true",
                         help="time every computed cell and print the "
                              "per-cell timing table; snapshots per-quantum "
@@ -257,8 +251,8 @@ def main(argv=None) -> int:
         print(f"{'profile':14s} stage timers + cProfile on a small mix")
         print(f"{'campaign':14s} verify/repair/compact checkpoint stores "
               "(repro campaign verify|repair|compact)")
-        print(f"{'bench':14s} perf benchmarks + columnar A/B drill "
-              "(repro bench run|compare|merge|ab)")
+        print(f"{'bench':14s} perf benchmarks "
+              "(repro bench run|compare|merge)")
         print(f"{'cloud':14s} slowdown-aware fleet tier "
               "(repro cloud run|report)")
         return 0
@@ -317,19 +311,11 @@ def main(argv=None) -> int:
             )
             telemetry = None
 
-    engine = args.engine
-    if engine and "engine" not in getattr(runner, "supports", ()):
-        sys.stderr.write(
-            f"repro: '{args.experiment}' does not support --engine; "
-            "running on the event engine.\n"
-        )
-        engine = None
-
     fidelity = args.fidelity
     if fidelity and "fidelity" not in getattr(runner, "supports", ()):
         sys.stderr.write(
             f"repro: '{args.experiment}' does not support --fidelity; "
-            "running at the configured engine's tier.\n"
+            "running at the event tier.\n"
         )
         fidelity = None
 
@@ -341,7 +327,6 @@ def main(argv=None) -> int:
         campaign=campaign,
         workers=args.workers if args.workers > 1 else None,
         telemetry=telemetry,
-        engine=engine,
         fidelity=fidelity,
     )
     table = result.format_table()

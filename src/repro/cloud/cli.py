@@ -58,13 +58,11 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="confidence floor (default: policy floor)")
     run.add_argument("--hog-fraction", type=float, default=0.0)
     run.add_argument("--billing", choices=BILLING_MODES, default="fair")
-    run.add_argument("--engine", choices=("event", "columnar"),
-                     default="event")
-    run.add_argument("--fidelity", choices=("analytical", "columnar", "event"),
+    run.add_argument("--fidelity", choices=("analytical", "event"),
                      default="",
                      help="fidelity tier for node rounds; 'analytical' is "
                           "the closed-form surrogate (see docs/fidelity.md); "
-                          "default: --engine governs")
+                          "default: event")
     run.add_argument("--workers", type=int, default=1)
     run.add_argument("--kill-rate", type=float, default=0.0)
     run.add_argument("--straggler-rate", type=float, default=0.0)
@@ -109,7 +107,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         placement=args.placement,
         hog_fraction=args.hog_fraction,
         billing=args.billing,
-        engine=args.engine,
         fidelity=args.fidelity,
         confidence_floor=(
             args.floor

@@ -8,7 +8,7 @@ One fleet run is a sequence of *rounds*. Each round:
 4. the scheduler places admitted tenants — ASM-aware, or naive
    bin-packing when last round's fleet confidence is below the floor;
 5. every occupied up node runs one campaign cell (the existing
-   simulator, event or columnar engine) through
+   simulator, or the analytic surrogate) through
    :func:`repro.parallel.run_cells` — parallel fan-out is bit-identical
    to serial, and results checkpoint into the campaign store;
 6. per-tenant estimates/confidence/ground truth are read back; SLA
@@ -178,12 +178,11 @@ class FleetSupervisor:
         workers: int = 1,
     ) -> None:
         self.spec = spec
-        # The declared fidelity tier overrides the engine ("" keeps it):
-        # node rounds then dispatch through repro.analytic instead of a
-        # simulator, and the store fingerprints the resolved engine.
-        self.config = resolve_fidelity(
-            config.with_engine(spec.engine), spec.fidelity
-        )
+        # The declared fidelity tier ("" means event) sets the engine: an
+        # analytical fleet dispatches node rounds through repro.analytic
+        # instead of the simulator, and the store fingerprints the
+        # resolved engine.
+        self.config = resolve_fidelity(config, spec.fidelity or "event")
         self.campaign = campaign
         # Node failures must degrade the round, not abort the fleet.
         self.campaign.keep_going = True

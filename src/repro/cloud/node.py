@@ -3,7 +3,7 @@
 A *node* is one multi-core machine of the fleet. Its round of service
 is exactly one campaign cell: the tenants placed on it become a
 :class:`~repro.workloads.mixes.WorkloadMix` (one tenant per core), and
-the existing simulator — event or columnar engine — runs the quantum(s)
+the existing simulator (or the analytic surrogate) runs the quantum(s)
 with an ASM model attached. The fleet scheduler reads the resulting
 per-core estimates, confidences, and ground-truth slowdowns.
 """

@@ -60,12 +60,9 @@ def run(
     campaign=None,
     workers: int = 1,
     telemetry=None,
-    engine: Optional[str] = None,
     fidelity: str = "",
 ) -> ErrorComparisonResult:
     config = config or scaled_config()
-    if engine:
-        config = config.with_engine(engine)
     mixes = default_mixes(num_mixes, config.num_cores, seed=seed)
     variant = "sampled" if sampled else "unsampled"
     if telemetry is not None:

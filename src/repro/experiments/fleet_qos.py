@@ -126,7 +126,6 @@ def run(
     num_tenants: int = 6,
     campaign=None,
     workers: int = 1,
-    engine: Optional[str] = None,
 ) -> FleetQosResult:
     """Run the three fleet comparisons; see the module docstring."""
     from repro.resilience.campaign import Campaign
@@ -145,7 +144,6 @@ def run(
         seed=seed,
         num_tenants=num_tenants,
         arrivals_per_round=max(1, num_tenants // 2),
-        engine=engine or "event",
     )
     chaos = FleetChaosSpec(
         node_kill_rate=0.15,

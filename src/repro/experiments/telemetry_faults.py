@@ -180,19 +180,12 @@ def run(
     telemetry_seed: int = 0,
     campaign=None,
     workers: int = 1,
-    engine: Optional[str] = None,
 ) -> TelemetryFaultsResult:
-    """Run the chaos sweep: baseline + every fault class at every rate.
-
-    ``engine`` selects the execution backend (``event``/``columnar``) so
-    the degraded-telemetry sweep exercises both; cells record it in
-    their store keys via the config fingerprint."""
+    """Run the chaos sweep: baseline + every fault class at every rate."""
     from repro.parallel import CellSpec
     from repro.resilience.campaign import Campaign
 
     config = config or scaled_config()
-    if engine:
-        config = config.with_engine(engine)
     classes = tuple(fault_classes) if fault_classes else FAULT_CLASSES
     for fault_class in classes:
         if fault_class not in FAULT_CLASSES:

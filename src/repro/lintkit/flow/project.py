@@ -7,8 +7,6 @@ resolve names through it instead of re-deriving imports per file:
   :class:`FunctionInfo` it invokes, through ``from x import y as z``
   aliases, ``import m as n`` chains, ``self.method(...)`` and
   same-module ``ClassName.method(...)`` references.
-* ``resolve_dotted`` — a fully-qualified dotted string (as written in
-  the ``SCALAR_ORACLES`` registry) to a function or class.
 
 Resolution is best-effort and sound-for-silence: anything dynamic
 (instance attributes, ``getattr``, re-exported names) returns ``None``
@@ -202,22 +200,6 @@ class Project:
             ):
                 out.append(self.modules[name])
         return out
-
-    def owns_module_of(self, dotted: str) -> bool:
-        """Whether ``dotted`` names a symbol inside a linted module —
-        i.e. failing to resolve it is a finding, not missing context."""
-        return any(
-            dotted.startswith(name + ".") for name in self.modules
-        )
-
-    def resolve_dotted(
-        self, dotted: str
-    ) -> Optional[Union[FunctionInfo, ClassInfo]]:
-        """A fully-qualified dotted name to its function or class."""
-        func = self.functions.get(dotted)
-        if func is not None:
-            return func
-        return self.classes.get(dotted)
 
     def resolve_call(
         self, call: ast.Call, caller: FunctionInfo

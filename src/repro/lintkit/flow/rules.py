@@ -11,10 +11,6 @@ UNIT001   dimension inference: cycle / event / byte / fraction
 PUR001    parallel purity: a function dispatched as a pool worker
           payload (or reachable from one) mutates module-global state —
           per-process copies silently diverge
-DUAL001   scalar<->columnar pairing: every public ``repro.vector``
-          kernel declares its event-loop oracle in ``SCALAR_ORACLES``
-          and stays structurally in sync with it (constants, branch
-          kinds), with intentional drift waived in ``DRIFT_WAIVERS``
 ========  ============================================================
 
 These register alongside the per-file rules; the driver hands them the
@@ -28,7 +24,6 @@ from typing import Iterator, Tuple
 
 from repro.lintkit.base import Finding, ProjectRule, register
 from repro.lintkit.flow.callgraph import CallGraph
-from repro.lintkit.flow.pairs import check_pairs
 from repro.lintkit.flow.project import Project
 from repro.lintkit.flow.purity import PurityAnalysis
 from repro.lintkit.flow.taint import TaintAnalysis
@@ -138,24 +133,7 @@ class Pur001ImpureWorkerPayload(ProjectRule):
             )
 
 
-@register
-class Dual001ScalarColumnarDrift(ProjectRule):
-    """Columnar kernels must declare and track their scalar oracles."""
-
-    code = "DUAL001"
-    summary = "columnar kernel unregistered or drifted from its oracle"
-    packages = ("repro.vector",)
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        scan = project.modules_matching(self.packages)
-        for violation in check_pairs(project, scan):
-            yield self.finding(
-                violation.module.ctx, violation.node, violation.message
-            )
-
-
 __all__ = [
-    "Dual001ScalarColumnarDrift",
     "NONDET_SCAN_PACKAGES",
     "Ndt001NondeterminismTaint",
     "Pur001ImpureWorkerPayload",

@@ -34,14 +34,11 @@ estimate (see :class:`~repro.models.base.EstimateGuard`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cache.auxtag import AuxiliaryTagStore
 from repro.harness.system import System
 from repro.models.base import OutstandingTracker, SlowdownModel
-
-if TYPE_CHECKING:
-    from repro.vector.batch import RequestBatch
 
 
 @dataclass
@@ -152,15 +149,7 @@ class AsmModel(SlowdownModel):
             lambda core: self._quantum_miss_time[core].read(self.now),
         )
         self.last_quantum = [AsmQuantumStats() for _ in range(n)]
-        # Columnar backend: consume staged request batches from the
-        # system's plane instead of one callback per access. The plane
-        # flushes before every epoch/measure/quantum listener fires, so
-        # ``_measuring`` is constant over each flushed span and the
-        # batched counter updates are bit-identical to the scalar path.
-        if system.batch_plane is not None:
-            system.batch_plane.register(self._on_batch)
-        else:
-            system.hierarchy.access_listeners.append(self._on_access)
+        system.hierarchy.access_listeners.append(self._on_access)
         system.hierarchy.service_listeners.append(self._on_service)
         system.epoch_listeners.append(self._on_epoch)
         system.measure_listeners.append(self._on_measure)
@@ -186,42 +175,6 @@ class AsmModel(SlowdownModel):
                     self._epoch_sampled_ats_hits.add(core)
                 if hit:
                     self._epoch_sampled_shared_hits.add(core)
-
-    def _on_batch(self, batch: "RequestBatch") -> None:
-        """Columnar equivalent of :meth:`_on_access` for one staged span.
-
-        Counter increments commute (telemetry faults apply at read time,
-        and saturation/wraparound commute with accumulation), so adding
-        per-core counts once per span matches per-access increments bit
-        for bit. The ATS consumes each core's addresses in service order
-        via :meth:`~repro.cache.auxtag.AuxiliaryTagStore.access_batch`.
-        """
-        from repro.vector import columns as col
-
-        measuring = self._measuring
-        for core, idx in batch.groups_by_core():
-            addrs = col.take(batch.addrs, idx)
-            hits_mask = col.take(batch.hits, idx)
-            n = len(idx)
-            n_hits = col.count_true(hits_mask)
-            self._accesses.add(core, n)
-            self._hits.add(core, n_hits)
-            self._misses.add(core, n - n_hits)
-            sampled, ats_hit = self.ats[core].access_batch(col.tolist(addrs))
-            if measuring == core:
-                self._epoch_hits.add(core, n_hits)
-                self._epoch_misses.add(core, n - n_hits)
-                sampled_mask = col.mask_column(sampled)
-                ats_hit_mask = col.mask_column(ats_hit)
-                self._epoch_sampled_ats_accesses.add(
-                    core, col.count_true(sampled_mask)
-                )
-                self._epoch_sampled_ats_hits.add(
-                    core, col.count_true(col.logical_and(sampled_mask, ats_hit_mask))
-                )
-                self._epoch_sampled_shared_hits.add(
-                    core, col.count_true(col.logical_and(sampled_mask, hits_mask))
-                )
 
     def _on_service(self, core: int, is_hit: bool, is_start: bool, now: int) -> None:
         epoch = self._epoch_hit_time[core] if is_hit else self._epoch_miss_time[core]

@@ -1,9 +1,7 @@
 """Perf-regression harness: wall-clock + events/sec capture into BENCH_*.json.
 
-Importable home of the benchmark logic behind both entry points —
-``benchmarks/perf_bench.py`` (the historical script, now a thin wrapper)
-and the ``repro bench`` CLI verb (``run`` / ``compare`` / ``merge`` /
-``ab`` subcommands).
+Benchmark logic behind the ``repro bench`` CLI verb (``run`` /
+``compare`` / ``merge`` subcommands).
 
 Three benchmarks:
 
@@ -11,14 +9,8 @@ Three benchmarks:
   :class:`repro.engine.Engine` with a bundle of self-rescheduling
   callbacks (several sharing timestamps, several free-running) and
   reports raw events/sec of the dispatch loop itself.
-* **Columnar microbenchmark** (:func:`columnar_microbench`): the same
-  periodic population expressed as windowed streams on
-  :class:`repro.vector.engine.ColumnarEngine` — each stream's firings in
-  a window are processed as one batch, so throughput measures the
-  batched path the columnar backend rides. An equivalence sub-run
-  replays an identical population (including a scalar boundary callback)
-  on both engines and asserts identical event counts and callback
-  totals.
+* **Analytic benchmark** (:func:`analytic_bench`): one paper-scale cell
+  at the analytical fidelity tier, cold and warm.
 * **Sweep benchmark** (:func:`sweep_bench`): a fig02-style error survey
   run serially and through the parallel campaign layer; reports wall
   clock, speedup, and whether the two produced identical results.
@@ -38,7 +30,7 @@ import platform
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
@@ -101,133 +93,6 @@ def _engine_microbench_once(target_events: int) -> dict:
         "events": events,
         "wall_s": round(elapsed, 4),
         "events_per_s": round(events / elapsed, 1),
-    }
-
-
-# ---------------------------------------------------------------------------
-# Columnar microbenchmark
-# ---------------------------------------------------------------------------
-
-def columnar_microbench(
-    target_events: int = 10_000_000, repeats: int = 5
-) -> dict:
-    """Throughput of the same periodic population on the columnar engine.
-
-    The eight periodic streams become windowed vec streams — one batched
-    callback per stream per window instead of one event each firing —
-    and the zero-delay chain becomes a stream whose batch counts two
-    events per firing. A scalar boundary stream (co-prime period 1009)
-    forces regular window closes, exercising the window/merge machinery
-    rather than degenerating into one giant batch.
-    """
-    from repro.vector import backend
-
-    best = None
-    for _ in range(repeats):
-        run = _columnar_microbench_once(target_events)
-        if best is None or run["events_per_s"] > best["events_per_s"]:
-            best = run
-    best["repeats"] = repeats
-    best["backend"] = backend()
-    return best
-
-
-_BOUNDARY_PERIOD = 1009  # co-prime with every stream period
-
-
-def _populate_columnar(engine) -> List[int]:
-    """Install the microbench population as vec streams; returns the
-    callback-total cell shared by every stream."""
-    total = [0]
-
-    def make_vec(mult: int = 1):
-        def vec_cb(start: int, count: int, period: int) -> int:
-            total[0] += count * mult
-            return count * mult
-        return vec_cb
-
-    for _ in range(4):
-        engine.schedule_stream(5, vec_callback=make_vec())
-    for period in (3, 7, 11):
-        engine.schedule_stream(period, vec_callback=make_vec())
-    # The chained pair (wake->issue) counts two events per firing.
-    engine.schedule_stream(13, vec_callback=make_vec(2))
-
-    def boundary() -> None:
-        total[0] += 1
-
-    engine.schedule_stream(_BOUNDARY_PERIOD, boundary)
-    return total
-
-
-def _populate_scalar(engine: Engine) -> List[int]:
-    """The *same* population as :func:`_populate_columnar`, expressed as
-    self-rescheduling scalar callbacks (the equivalence oracle)."""
-    total = [0]
-
-    def make_recurring(period: int):
-        def cb() -> None:
-            total[0] += 1
-            engine.schedule(period, cb)
-        return cb
-
-    for _ in range(4):
-        engine.schedule(5, make_recurring(5))
-    for period in (3, 7, 11):
-        engine.schedule(period, make_recurring(period))
-
-    def chained() -> None:
-        total[0] += 1
-        engine.schedule(0, lambda: total.__setitem__(0, total[0] + 1))
-        engine.schedule(13, chained)
-
-    engine.schedule(13, chained)
-    engine.schedule(_BOUNDARY_PERIOD, make_recurring(_BOUNDARY_PERIOD))
-    return total
-
-
-def _columnar_microbench_once(target_events: int) -> dict:
-    from repro.vector.engine import ColumnarEngine
-
-    engine = ColumnarEngine()
-    total = _populate_columnar(engine)
-    # ~1.52 batched events per cycle, plus the boundary stream.
-    horizon = int(target_events / 1.52)
-    start = time.perf_counter()
-    engine.run(until=horizon)
-    elapsed = time.perf_counter() - start
-    events = engine.events_executed
-    assert total[0] == events, "columnar callback total diverged from engine"
-    return {
-        "events": events,
-        "wall_s": round(elapsed, 4),
-        "events_per_s": round(events / elapsed, 1),
-    }
-
-
-def microbench_equivalence(horizon: int = 50_000) -> dict:
-    """Replay the microbench population on both engines over one horizon;
-    the batched run must count exactly the events the scalar run executes."""
-    from repro.vector.engine import ColumnarEngine
-
-    scalar_engine = Engine()
-    scalar_total = _populate_scalar(scalar_engine)
-    scalar_engine.run(until=horizon)
-
-    vec_engine = ColumnarEngine()
-    vec_total = _populate_columnar(vec_engine)
-    vec_engine.run(until=horizon)
-
-    return {
-        "horizon": horizon,
-        "scalar_events": scalar_engine.events_executed,
-        "columnar_events": vec_engine.events_executed,
-        "scalar_total": scalar_total[0],
-        "columnar_total": vec_total[0],
-        "identical": (
-            scalar_total[0] == vec_total[0]
-            and scalar_engine.events_executed == vec_engine.events_executed
-        ),
     }
 
 
@@ -368,12 +233,18 @@ def merge_results(
 
 
 def load_results(path: Path) -> dict:
-    if path.exists():
-        try:
-            return json.loads(path.read_text())
-        except ValueError:
-            return {}
-    return {}
+    """The benchmark JSON at ``path`` (``{}`` if absent).
+
+    An unparsable file raises :class:`ValueError` rather than reading as
+    empty: every writer merges into what it loads, so an empty read would
+    overwrite every recorded arm on the next capture.
+    """
+    if not path.exists():
+        return {}
+    try:
+        return json.loads(path.read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: not valid benchmark JSON ({exc})") from exc
 
 
 def merge_files(sources: Sequence[Path], dest: Path) -> dict:
@@ -415,10 +286,11 @@ def compare_labels(path: Path, section: str, before: str, after: str) -> dict:
 # Entry points
 # ---------------------------------------------------------------------------
 
-def legacy_main(argv=None) -> int:
-    """The historical ``benchmarks/perf_bench.py`` interface (plus the
-    columnar microbenchmark, captured alongside the event-loop one)."""
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+def run_main(argv=None) -> int:
+    """``repro bench run``: capture the benchmarks into a JSON file."""
+    parser = argparse.ArgumentParser(
+        prog="repro bench run", description=__doc__.splitlines()[0]
+    )
     parser.add_argument("--workers", type=int, default=4,
                         help="parallel workers for the sweep benchmark")
     parser.add_argument("--mixes", type=int, default=4,
@@ -428,10 +300,8 @@ def legacy_main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--micro-events", type=int, default=300_000,
                         help="approximate events in the microbenchmark")
-    parser.add_argument("--columnar-events", type=int, default=10_000_000,
-                        help="approximate events in the columnar arm")
     parser.add_argument("--micro-only", action="store_true",
-                        help="run only the event-loop microbenchmarks")
+                        help="skip the sweep benchmark")
     parser.add_argument("--sweep-only", action="store_true",
                         help="run only the sweep benchmark")
     parser.add_argument("--label", type=str, default="current",
@@ -442,10 +312,15 @@ def legacy_main(argv=None) -> int:
                         default=str(REPO_ROOT / "BENCH_perf.json"))
     parser.add_argument("--check-equality", action="store_true",
                         help="exit non-zero unless parallel == serial and "
-                             "columnar == scalar")
+                             "the analytic cell stays under 10s")
     args = parser.parse_args(argv)
 
     out = Path(args.out)
+    try:
+        load_results(out)  # refuse a corrupt file before spending the run
+    except ValueError as exc:
+        print(f"repro bench: {exc}", file=sys.stderr)
+        return 2
     status = 0
 
     if not args.sweep_only:
@@ -455,20 +330,6 @@ def legacy_main(argv=None) -> int:
         print(f"engine_microbench[{args.label}]: "
               f"{micro['events_per_s']:,.0f} events/s "
               f"({micro['events']} events in {micro['wall_s']}s)")
-
-        columnar = columnar_microbench(args.columnar_events)
-        equivalence = microbench_equivalence()
-        columnar["equivalent_to_event_engine"] = equivalence["identical"]
-        merge_results(out, "columnar_microbench", columnar, args.label,
-                      notes=args.notes)
-        print(f"columnar_microbench[{args.label}]: "
-              f"{columnar['events_per_s']:,.0f} events/s "
-              f"({columnar['backend']} backend, "
-              f"equivalent={equivalence['identical']})")
-        if args.check_equality and not equivalence["identical"]:
-            print("ERROR: columnar microbench diverged from the event engine",
-                  file=sys.stderr)
-            status = 1
 
         analytic = analytic_bench()
         merge_results(out, "analytic_bench", analytic, args.label,
@@ -502,16 +363,14 @@ def legacy_main(argv=None) -> int:
 
 
 def bench_main(argv=None) -> int:
-    """``repro bench`` verb: run / compare / merge / ab."""
+    """``repro bench`` verb: run / compare / merge."""
     parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description="Performance benchmarks and the columnar A/B drill.",
+        prog="repro bench", description="Performance benchmarks."
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    run_p = sub.add_parser("run", help="capture benchmarks into a JSON file")
-    # 'run' shares the legacy flag vocabulary wholesale.
-    run_p.set_defaults(_passthrough=True)
+    # Listed for --help only; 'run' parses its own flags (see run_main).
+    sub.add_parser("run", help="capture benchmarks into a JSON file")
 
     cmp_p = sub.add_parser("compare", help="compare two captured labels")
     cmp_p.add_argument("before")
@@ -527,69 +386,47 @@ def bench_main(argv=None) -> int:
     merge_p.add_argument("sources", nargs="+")
     merge_p.add_argument("--into", required=True)
 
-    ab_p = sub.add_parser("ab", help="columnar-vs-event bit-identity drill")
-    ab_p.add_argument("--mixes", type=int, default=2)
-    ab_p.add_argument("--quanta", type=int, default=2)
-    ab_p.add_argument("--cores", type=int, default=4)
-    ab_p.add_argument("--seed", type=int, default=42)
-    ab_p.add_argument("--skip-experiments", action="store_true",
-                      help="skip the fig01/fig04 JSON comparisons")
-    ab_p.add_argument("--telemetry-faults", type=str,
-                      default="dropped-read:0.05",
-                      help="fault spec for the faulted arm ('' disables)")
-
     if argv and argv[0] == "run":
-        # Everything after 'run' is the legacy vocabulary.
-        return legacy_main(argv[1:])
+        return run_main(argv[1:])
     args = parser.parse_args(argv)
 
-    if args.verb == "compare":
-        try:
-            result = compare_labels(
-                Path(args.json), args.section, args.before, args.after
-            )
-        except KeyError as exc:
-            print(f"repro bench: {exc}", file=sys.stderr)
-            return 2
-        print(json.dumps(result, indent=2, sort_keys=True))
-        if args.min_ratio is not None:
-            ratio = result.get("events_per_s", {}).get("ratio")
-            if ratio is not None and ratio < args.min_ratio:
-                print(f"ERROR: throughput ratio {ratio} < {args.min_ratio}",
-                      file=sys.stderr)
-                return 1
+    try:
+        if args.verb == "compare":
+            return _compare(args)
+        merged = merge_files([Path(src) for src in args.sources], Path(args.into))
+    except (KeyError, ValueError) as exc:
+        print(f"repro bench: {exc}", file=sys.stderr)
+        return 2
+    print(f"merged {len(args.sources)} file(s) into {args.into} "
+          f"({len(merged)} sections)")
+    return 0
+
+
+def _compare(args: argparse.Namespace) -> int:
+    """Print the comparison; with ``--min-ratio``, gate on events/s."""
+    result = compare_labels(Path(args.json), args.section, args.before, args.after)
+    print(json.dumps(result, indent=2, sort_keys=True))
+    if args.min_ratio is None:
         return 0
-
-    if args.verb == "merge":
-        merged = merge_files([Path(s) for s in args.sources], Path(args.into))
-        print(f"merged {len(args.sources)} file(s) into {args.into} "
-              f"({len(merged)} sections)")
-        return 0
-
-    # verb == "ab"
-    from repro.vector.ab import run_ab
-
-    report = run_ab(
-        num_mixes=args.mixes,
-        quanta=args.quanta,
-        num_cores=args.cores,
-        seed=args.seed,
-        include_experiments=not args.skip_experiments,
-        telemetry_faults=args.telemetry_faults or None,
-    )
-    print(report.summary())
-    return 0 if report.ok else 1
+    ratio = result.get("events_per_s", {}).get("ratio")
+    if ratio is None:
+        print(f"repro bench: section {args.section!r} has no events_per_s "
+              "ratio to check against --min-ratio", file=sys.stderr)
+        return 2
+    if ratio < args.min_ratio:
+        print(f"ERROR: throughput ratio {ratio} < {args.min_ratio}",
+              file=sys.stderr)
+        return 1
+    return 0
 
 
 __all__ = [
     "analytic_bench",
     "bench_main",
-    "columnar_microbench",
     "compare_labels",
     "engine_microbench",
-    "legacy_main",
     "merge_files",
     "merge_results",
-    "microbench_equivalence",
+    "run_main",
     "sweep_bench",
 ]

@@ -38,11 +38,11 @@ def config_fingerprint(config: SystemConfig) -> str:
     Two runs with equal fingerprints simulate identical platforms, so the
     fingerprint keys checkpoint stores and failure-replay records.
 
-    The execution backend is part of the fingerprint only when it is not
-    the default: the columnar backend is bit-identical by contract, but a
-    cell computed by it should say so in its key; dropping the default
-    ``engine='event'`` suffix keeps every fingerprint (and thus every
-    existing campaign store) from before the field existed valid.
+    The execution tier is part of the fingerprint only when it is not
+    the default: an analytic cell must never share a key with a
+    simulated one, while dropping the default ``engine='event'`` suffix
+    keeps every fingerprint (and thus every existing campaign store)
+    from before the field existed valid.
     """
     text = repr(config)
     default_suffix = ", engine='event')"

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import pytest
+
 from repro.cli import DESCRIPTIONS, EXPERIMENTS, build_parser, main
 
 
@@ -30,6 +32,14 @@ def test_parser_accepts_resilience_flags():
     assert args.resume and args.keep_going and args.check_invariants
     assert args.seed == 7
     assert args.campaign_dir == ""
+
+
+def test_removed_fidelity_tier_is_argparse_error(capsys):
+    # Fidelity is analytical | event.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["fig02", "--fidelity", "columnar"])
+    assert excinfo.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_db_experiment_end_to_end(capsys, tmp_path):

@@ -79,3 +79,4 @@ def test_validate_rejects_fractional_epochs():
     config = scaled_config().with_quantum(100_000, 30_000)
     with pytest.raises(ValueError):
         config.validate()
+

@@ -38,6 +38,7 @@ def test_run_until_stops_before_boundary_events():
     assert engine.now == 10
     engine.run(until=20)
     assert log == ["early", "boundary", "late"]
+    assert engine.now == 20  # clamped to the horizon past the last event
 
 
 def test_run_until_advances_time_with_empty_queue():
@@ -127,6 +128,7 @@ def test_stop_mid_cycle_preserves_remaining_same_cycle_events():
     engine.schedule(5, lambda: log.append("c"))
     engine.run()
     assert log == ["a", "b"]
+    assert engine.stopped_early
     assert engine.pending_events == 1
     engine.run()
     assert log == ["a", "b", "c"]

@@ -1,8 +1,7 @@
-"""A/B harness, CLI ``--engine`` flag, and ``repro bench`` verb tests.
+"""``repro bench`` run / compare / merge verbs and the removed ``--engine`` flag.
 
-The expensive full drill (``repro bench ab``) runs in CI; here the same
-machinery is exercised at reduced scale — small quanta, two cores — so
-the bit-identity contract is enforced on every test run.
+The gate tests for ``compare --min-ratio`` and for unparsable results
+files live in ``tests/test_perfbench.py``.
 """
 
 import json
@@ -10,90 +9,15 @@ import json
 import pytest
 
 from repro.cli import main as cli_main
-from repro.config import scaled_config
 from repro.perfbench import bench_main, merge_results
-from repro.telemetry.spec import TelemetrySpec
-from repro.vector.ab import AbReport, check_merge_order, compare_mixes, compare_runs
-from repro.workloads.mixes import random_mixes
-
-
-def _small_config(num_cores=2):
-    return scaled_config(num_cores).with_quantum(100_000, 5_000)
-
-
-# ----------------------------------------------------------------------
-# A/B harness
-
-
-def test_compare_runs_bit_identical():
-    mix = random_mixes(1, 2, seed=5)[0]
-    report = compare_runs(mix, _small_config(), quanta=2)
-    assert report.ok, report.summary()
-    assert report.compared == 2
-    assert "bit-identical" in report.summary()
-
-
-def test_compare_runs_with_telemetry_faults():
-    # Faults are injected deterministically at counter-read time, so a
-    # faulted run must still be bit-identical across engines.
-    mix = random_mixes(1, 2, seed=6)[0]
-    spec = TelemetrySpec.parse("dropped-read:0.1", seed=3)
-    report = compare_runs(mix, _small_config(), quanta=1, telemetry=spec)
-    assert report.ok, report.summary()
-
-
-def test_compare_mixes_merges_reports():
-    report = compare_mixes(2, 2, quanta=1, config=_small_config(), seed=9)
-    assert report.ok, report.summary()
-    assert report.compared == 2  # one record per mix per quantum
-
-
-def test_check_merge_order_round_trip():
-    report = check_merge_order(config=_small_config(), cycles=20_000, seed=7)
-    assert report.ok, report.summary()
-    assert report.compared > 0  # the run produced accesses to round-trip
-
-
-def test_ab_report_merge_prefixes_labels():
-    top = AbReport(label="ab")
-    child = AbReport(label="run:mix0", compared=3)
-    child.mismatches.append("quantum 0 field 'shared_ipc' differs")
-    top.merge(child)
-    assert not top.ok
-    assert top.compared == 3
-    assert top.mismatches == ["run:mix0: quantum 0 field 'shared_ipc' differs"]
-    assert "MISMATCH" in top.summary()
-
-
-# ----------------------------------------------------------------------
-# CLI --engine flag
-
-
-def test_cli_engine_columnar_end_to_end(capsys, tmp_path):
-    code = cli_main([
-        "fig02", "--mixes", "1", "--quanta", "1",
-        "--engine", "columnar",
-        "--campaign-dir", str(tmp_path / "c"),
-    ])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "asm_err%" in out
-
-
-def test_cli_engine_flag_warns_when_unsupported(capsys, tmp_path):
-    code = cli_main([
-        "fig11", "--quanta", "1",
-        "--engine", "columnar",
-        "--campaign-dir", str(tmp_path / "c"),
-    ])
-    assert code == 0
-    err = capsys.readouterr().err
-    assert "does not support --engine" in err
 
 
 def test_cli_engine_flag_validates_choices(capsys):
-    with pytest.raises(SystemExit):
-        cli_main(["fig02", "--engine", "gpu"])
+    # Fidelity is the one tier selector; there is no --engine flag.
+    with pytest.raises(SystemExit) as excinfo:
+        cli_main(["fig02", "--engine", "event"])
+    assert excinfo.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_list_mentions_bench(capsys):
@@ -101,15 +25,10 @@ def test_cli_list_mentions_bench(capsys):
     assert "bench" in capsys.readouterr().out
 
 
-# ----------------------------------------------------------------------
-# repro bench verbs
-
-
 def test_bench_run_micro_only_captures_json(capsys, tmp_path):
     out = tmp_path / "bench.json"
     code = bench_main([
-        "run", "--micro-only",
-        "--micro-events", "2000", "--columnar-events", "5000",
+        "run", "--micro-only", "--micro-events", "2000",
         "--label", "test", "--notes", "test-host",
         "--out", str(out),
     ])
@@ -117,12 +36,8 @@ def test_bench_run_micro_only_captures_json(capsys, tmp_path):
     data = json.loads(out.read_text())
     assert data["notes"]["test"] == "test-host"
     assert "python" in data["platform"]
-    micro = data["engine_microbench"]["test"]
-    assert micro["events_per_s"] > 0
-    columnar = data["columnar_microbench"]["test"]
-    assert columnar["events_per_s"] > 0
-    assert columnar["backend"] in ("numpy", "python")
-    assert columnar["equivalent_to_event_engine"] is True
+    assert data["engine_microbench"]["test"]["events_per_s"] > 0
+    assert data["analytic_bench"]["test"]["wall_s"] > 0
 
 
 def test_bench_compare_reports_ratio(capsys, tmp_path):
@@ -151,38 +66,3 @@ def test_bench_merge_folds_files(capsys, tmp_path):
     merged = json.loads(dest.read_text())
     assert set(merged["engine_microbench"]) == {"hostA", "hostB"}
     assert "sweep" in merged
-
-
-def test_bench_ab_exit_codes(capsys, monkeypatch):
-    import repro.vector.ab as ab_mod
-
-    captured_kwargs = {}
-
-    def fake_run_ab(**kwargs):
-        captured_kwargs.update(kwargs)
-        return AbReport(label="ab", compared=5)
-
-    monkeypatch.setattr(ab_mod, "run_ab", fake_run_ab)
-    code = bench_main([
-        "ab", "--mixes", "3", "--quanta", "1", "--cores", "2",
-        "--seed", "11", "--skip-experiments", "--telemetry-faults", "",
-    ])
-    assert code == 0
-    assert "bit-identical" in capsys.readouterr().out
-    assert captured_kwargs == {
-        "num_mixes": 3,
-        "quanta": 1,
-        "num_cores": 2,
-        "seed": 11,
-        "include_experiments": False,
-        "telemetry_faults": None,
-    }
-
-    def failing_run_ab(**kwargs):
-        report = AbReport(label="ab", compared=1)
-        report.mismatches.append("quantum 0 diverged")
-        return report
-
-    monkeypatch.setattr(ab_mod, "run_ab", failing_run_ab)
-    assert bench_main(["ab"]) == 1
-    assert "MISMATCH" in capsys.readouterr().out
