@@ -10,7 +10,9 @@ independent of each other, so a campaign can fan them out across a
 2. **Alone profiles** — the expensive alone-run profiles the cells depend
    on are deduplicated by cache key (one application may appear in many
    mixes), computed once each in the pool, persisted through the campaign's
-   alone-run cache, and shipped to the cell workers pre-seeded.
+   alone-run cache, and shipped to the cell workers pre-seeded. A profile
+   that fails here is not shipped; the cell's worker recomputes it, so
+   the failure is supervised like any other cell failure.
 3. **Cells** — each worker simulates one full cell and returns a picklable
    payload: the :class:`~repro.harness.runner.RunResult` on success, or the
    exception's type/message/traceback/diagnosis on failure. The parent
@@ -151,14 +153,17 @@ def _error_payload(exc: BaseException) -> Dict[str, Any]:
     }
 
 
-def _profile_worker(task: ProfileTask) -> Dict[str, Any]:
-    """Compute one alone-run profile: (mix, core, config, cycles)."""
+def _profile_worker(task: ProfileTask) -> Optional[AloneProfile]:
+    """Compute one alone-run profile: (mix, core, config, cycles).
+
+    ``None`` on failure: the cell that needs the profile recomputes it in
+    its own worker, where the failure is supervised like any other.
+    """
     mix, core, config, cycles = task
     try:
-        profile = run_alone(mix.trace_for_core(core), config, cycles)
-        return {"ok": True, "profile": profile}
-    except Exception as exc:  # noqa: BLE001 - isolated and reported
-        return {"ok": False, **_error_payload(exc)}
+        return run_alone(mix.trace_for_core(core), config, cycles)
+    except Exception:  # noqa: BLE001 - reported by the cell phase
+        return None
 
 
 @dataclass(frozen=True)
@@ -287,21 +292,6 @@ def _cell_fingerprint(campaign: "Campaign", cell: CellSpec) -> str:
     ).fingerprint()
 
 
-def _record_failure(
-    campaign: "Campaign",
-    cell: CellSpec,
-    payload: Dict[str, Any],
-    *,
-    attempts: int = 1,
-    elapsed_s: float = 0.0,
-) -> None:
-    """Final give-up on a cell: failure record, degradation, maybe raise."""
-    failure = _failure_from_payload(campaign, cell, payload)
-    campaign.record_give_up(failure, attempts, elapsed_s)
-    if not campaign.keep_going:
-        raise WorkerRunError(failure)
-
-
 def _alone_cycles(cell: CellSpec) -> int:
     # Must match run_workload: profiles cover one quantum beyond the run.
     return (cell.quanta + 1) * cell.config.quantum_cycles
@@ -397,37 +387,25 @@ def run_cells(
                 cache.hits += 1  # persistent peek counts store hits itself
         else:
             missing.append(key)
-    profile_errors: Dict[ProfileKey, Dict[str, Any]] = {}
     if missing:
         outcomes = _run_tasks(
             _profile_worker, [needed[key] for key in missing], workers
         )
-        for key, (kind, value) in zip(missing, outcomes):
-            if kind == "crash":
-                profile_errors[key] = {
-                    "error_type": "WorkerCrash",
-                    "message": value,
-                }
-            elif value["ok"]:
-                have[key] = value["profile"]
+        for key, (kind, profile) in zip(missing, outcomes):
+            if kind == "ok" and profile is not None:
+                have[key] = profile
                 cache.misses += 1
-                cache.seed_profile(*needed[key], value["profile"])
-            else:
-                profile_errors[key] = value
+                cache.seed_profile(*needed[key], profile)
 
-    # Phase 2: fan the runnable cells out; cells depending on a failed
-    # profile fail immediately with that profile's error.
-    runnable: List[int] = []
-    for i in pending:
-        bad = next((k for k in cell_keys[i] if k in profile_errors), None)
-        if bad is not None:
-            _record_failure(campaign, cells[i], profile_errors[bad])
-        else:
-            runnable.append(i)
+    # Phase 2: fan the cells out. A cell whose profile failed above ships
+    # without it; its worker recomputes the profile, so that failure goes
+    # through the same breaker and retry rounds as any other cell failure.
     def _task_for(i: int) -> _CellTask:
         return _CellTask(
             spec=cells[i],
-            profiles=tuple((key, have[key]) for key in cell_keys[i]),
+            profiles=tuple(
+                (key, have[key]) for key in cell_keys[i] if key in have
+            ),
             check_invariants=campaign.check_invariants,
             wall_clock_budget_s=campaign.wall_clock_budget_s,
             profile=campaign.profile,
@@ -436,9 +414,9 @@ def run_cells(
     fanout_start = perf_counter() if campaign.profile else 0.0
     busy_s = 0.0
     fanout_elapsed = 0.0
-    attempts: Dict[int, int] = {i: 0 for i in runnable}
+    attempts: Dict[int, int] = {i: 0 for i in pending}
     dispatched: Dict[int, float] = {}
-    active = list(runnable)
+    active = list(pending)
     while active:
         now = time.monotonic()
         for i in active:
@@ -489,10 +467,9 @@ def run_cells(
                 )
                 next_round.append(i)
             else:
-                _record_failure(
-                    campaign, cells[i], payload,
-                    attempts=attempts[i], elapsed_s=elapsed,
-                )
+                campaign.record_give_up(failure, attempts[i], elapsed)
+                if not campaign.keep_going:
+                    raise WorkerRunError(failure)
         if next_round and backoff > 0:
             time.sleep(backoff)
         active = next_round

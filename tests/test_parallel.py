@@ -11,12 +11,13 @@ from repro.parallel import CellSpec, WorkerRunError, run_cells
 from repro.resilience.campaign import Campaign
 from repro.durability.retry import RetryPolicy
 from repro.resilience.inject import (
+    InjectedFault,
     benign_model_factories,
     exploding_model_factories,
     flaky_model_factories,
     process_killer_factories,
 )
-from repro.workloads.mixes import make_mix, random_mixes
+from repro.workloads.mixes import WorkloadMix, make_mix, random_mixes
 
 # Small platform so each cell simulates quickly.
 CONFIG = scaled_config().with_quantum(50_000, 5_000)
@@ -290,3 +291,32 @@ def test_parallel_degraded_cell_raises_without_keep_going():
     with pytest.raises(WorkerRunError):
         campaign.run_cells(cells, workers=2)
     assert [d.reason for d in campaign.degraded] == ["circuit_open"]
+
+
+class _UnprofilableMix(WorkloadMix):
+    """A mix whose alone runs cannot start: every alone profile fails.
+
+    Module-level so it pickles by reference into pool workers.
+    """
+
+    def trace_for_core(self, core):
+        raise InjectedFault(f"no alone trace for core {core}")
+
+
+def _supervise_profile_failure(workers):
+    mix = _mixes(1)[0]
+    cells = [_cell(_UnprofilableMix(mix.name, mix.specs, mix.seed), quanta=1)]
+    campaign = _retrying_campaign(keep_going=True)
+    assert campaign.run_cells(cells, workers=workers) == [None]
+    degraded = [
+        (d.reason, d.attempts, d.last_error_type) for d in campaign.degraded
+    ]
+    return degraded, campaign.retry_attempts, len(campaign.failures)
+
+
+def test_parallel_profile_failure_is_supervised_like_serial():
+    # A failed alone profile is a cell failure like any other: it goes
+    # through the breaker and the retry rounds, not straight to give-up.
+    serial = _supervise_profile_failure(workers=1)
+    assert serial == ([("circuit_open", 2, "InjectedFault")], 1, 1)
+    assert _supervise_profile_failure(workers=2) == serial
