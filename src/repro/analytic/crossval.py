@@ -4,9 +4,8 @@ Every campaign that runs analytic cells should know how far the
 surrogate is from the simulator *on its own cells*. ``cross_validate``
 draws a seeded sample of a campaign's (mix, config, quanta) cells, runs
 each at the analytic tier **and** through the event oracle (both via
-:meth:`~repro.resilience.campaign.Campaign.run_mix`, so oracle runs are
-resumable and shared with any event-tier cells the campaign already
-ran), and summarises the per-core slowdown deltas as a
+:meth:`~repro.resilience.campaign.Campaign.run_mix`, so both legs
+checkpoint and, under ``resume``, reuse stored cells), and summarises the per-core slowdown deltas as a
 :class:`DivergenceReport` persisted to ``divergence.jsonl`` in the
 campaign store — next to ``metrics.jsonl``, readable with
 :meth:`~repro.resilience.campaign.CampaignStore.load_divergence`.
@@ -178,10 +177,12 @@ def cross_validate(
 ) -> Optional[DivergenceReport]:
     """Cross-validate a seeded sample of cells and persist the report.
 
-    Both legs run through ``campaign.run_mix`` so the analytic leg reuses
-    the cells the campaign just computed and the oracle leg is resumable
-    (and shared with any event-tier runs of the same cells). Returns
-    ``None`` when there is nothing to sample.
+    Both legs run through ``campaign.run_mix``, so both checkpoint like
+    any other cell. Only under ``resume`` does a leg reuse a stored cell
+    (the survey's analytic cell, or an earlier event-tier run). Otherwise
+    the analytic leg recomputes the survey's cell and appends a second
+    ``runs.jsonl`` record for it, and the ``--profile`` timing table lists
+    that cell twice. Returns ``None`` when there is nothing to sample.
     """
     if not mixes or sample_size <= 0:
         return None

@@ -1,47 +1,41 @@
-"""Parallel fan-out of independent campaign cells across worker processes.
+"""Campaign cell execution: one attempt body and one supervisor.
 
 A *cell* is one (mix, config, quanta, variant) simulation together with the
-recipes for its slowdown models and memory scheduler. Cells of a sweep are
-independent of each other, so a campaign can fan them out across a
-:class:`~concurrent.futures.ProcessPoolExecutor`:
+recipes for its slowdown models and memory scheduler. Every campaign cell
+goes through the same two pieces:
 
-1. **Resume** — cells already in the campaign's checkpoint store are
-   deserialized in the parent; only the rest are dispatched.
-2. **Alone profiles** — the expensive alone-run profiles the cells depend
-   on are deduplicated by cache key (one application may appear in many
-   mixes), computed once each in the pool, persisted through the campaign's
-   alone-run cache, and shipped to the cell workers pre-seeded. A profile
-   that fails here is not shipped; the cell's worker recomputes it, so
-   the failure is supervised like any other cell failure.
-3. **Cells** — each worker simulates one full cell and returns a picklable
-   payload: the :class:`~repro.harness.runner.RunResult` on success, or the
-   exception's type/message/traceback/diagnosis on failure. The parent
-   merges results into the checkpoint store **in submission order**, so a
-   parallel sweep commits the same records, and surveys accumulate floats
-   in the same order, as a serial one — ``workers=N`` is bit-identical to
-   ``workers=1``.
+* :func:`attempt_cell` runs a cell once: ``run_analytic`` or
+  ``run_workload`` by ``config.engine``, plus profile timing and metrics
+  snapshots when the campaign profiles. It returns the result or the
+  exception's type/message/traceback/diagnosis.
+* :func:`supervise` does the rest: resume from the checkpoint store, the
+  replayable :class:`~repro.resilience.faults.RunFailure`, the circuit
+  breaker, retries under the campaign's
+  :class:`~repro.durability.retry.RetryPolicy` with deterministic backoff
+  between rounds, the give-up record (failure plus
+  :class:`~repro.durability.retry.DegradedCell`; with ``keep_going`` the
+  cell yields ``None``) and the commit to the store.
 
-Failure discipline matches :meth:`Campaign.run_mix`: a failing cell becomes
-a replayable :class:`~repro.resilience.faults.RunFailure`; with
-``keep_going`` the sweep continues (the cell yields ``None``), otherwise
-:class:`WorkerRunError` re-raises it in the parent with the worker's
-traceback. A worker that dies outright (the pool breaks) is recorded as a
-``WorkerCrash`` failure, the pool is rebuilt, and the surviving cells are
-resubmitted.
+Serial and parallel campaigns differ only in how a round is attempted.
+With ``workers=1``, :func:`run_cells` calls :meth:`Campaign.run_mix` per
+cell, which supervises that one cell with in-process attempts; a give-up
+without ``keep_going`` re-raises the cell's own exception. With more
+workers, each round attempts all pending cells in a process pool. Before
+the first round, the alone-run profiles the cells need are deduplicated,
+computed once each in the pool, persisted through the campaign's alone-run
+cache and shipped to the workers; a profile that fails there is not
+shipped, so the cell's worker recomputes it and the failure is supervised
+like any other. A pool give-up without ``keep_going`` raises
+:class:`WorkerRunError` with the worker's traceback. A worker that dies
+outright is a ``WorkerCrash`` failure; the pool is rebuilt and the other
+cells resubmitted.
 
-Failed cells are then *retried* under the campaign's
-:class:`~repro.durability.retry.RetryPolicy`: each fan-out round is
-followed by a round of the cells whose failures the supervisor still
-considers worth attempting (attempts left, circuit breaker closed,
-per-cell wall-clock budget not exhausted), with deterministic backoff
-between rounds. A transient ``WorkerCrash`` typically succeeds on the
-next round; a deterministic failure repeats, trips the breaker, and is
-recorded (failure + :class:`~repro.durability.retry.DegradedCell`)
-without burning the remaining attempt budget. The default policy
-(``max_attempts=1``) runs exactly one round — the pre-supervision
-behaviour. Retried cells commit in a later round than their neighbours,
-so *store append order* can differ from a serial sweep; the store is
-keyed last-record-wins, and returned results stay bit-identical.
+Each round commits in submission order, so a parallel sweep commits the
+same records, and surveys accumulate floats in the same order, as a serial
+one: ``workers=N`` is bit-identical to ``workers=1``. A retried cell
+commits in a later round than its neighbours, so with retries the store
+*append order* can differ from a serial sweep; the store is keyed
+last-record-wins, and returned results stay bit-identical.
 
 Model/scheduler recipes must be **module-level callables** (pickled by
 reference): ``model_builder(*model_builder_args)`` must return the
@@ -92,6 +86,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 #: An alone-run cache key (see AloneRunCache._key) and one worker task.
 ProfileKey = Tuple[Any, ...]
 ProfileTask = Tuple[WorkloadMix, int, SystemConfig, int]
+#: What one cell attempt reports (see :func:`attempt_cell`).
+Payload = Dict[str, Any]
 
 
 @dataclass(frozen=True)
@@ -139,18 +135,77 @@ def build_scheduler_factory(spec: CellSpec) -> Optional[Callable[[], Any]]:
 
 
 # ----------------------------------------------------------------------
-# Worker-side entry points (module-level so they pickle by reference).
+# The attempt body (also the pool workers' entry points, module-level so
+# they pickle by reference).
 
-def _error_payload(exc: BaseException) -> Dict[str, Any]:
-    diagnosis = getattr(exc, "diagnosis", None)
-    return {
-        "error_type": type(exc).__name__,
-        "message": str(exc),
-        "traceback": "".join(
-            _traceback.format_exception(type(exc), exc, exc.__traceback__)
-        ),
-        "diagnosis": dict(diagnosis) if isinstance(diagnosis, dict) else {},
-    }
+def attempt_cell(
+    cell: CellSpec,
+    *,
+    check_invariants: bool,
+    wall_clock_budget_s: Optional[float],
+    profile: bool,
+    **run_kwargs: Any,
+) -> Payload:
+    """Run ``cell`` once: ``{"ok": True, "result": ...}``, or ``{"ok":
+    False, "exc": ...}`` plus the error fields a ``RunFailure`` records.
+
+    ``run_kwargs`` (``run_workload`` keywords) override what the cell's
+    recipes and telemetry spec supply. With ``profile`` set the payload
+    also carries wall seconds, engine events and metrics snapshots, unless
+    the caller brought its own ``profile_sink`` / ``run_metrics``. The
+    sinks are fresh per call: a failed attempt leaks nothing into a retry.
+    """
+    captured: List[RunProfile] = []
+    run_metrics: Optional[MetricsRegistry] = None
+    if profile:
+        run_kwargs.setdefault("profile_sink", captured.append)
+        if "run_metrics" not in run_kwargs:
+            run_metrics = run_kwargs["run_metrics"] = MetricsRegistry()
+    try:
+        if cell.config.engine == "analytic":
+            # Closed-form surrogate: no System, no scheduler, no telemetry,
+            # no alone profiles; only the profile sink carries over.
+            result = run_analytic(
+                cell.mix,
+                cell.config,
+                quanta=cell.quanta,
+                profile_sink=run_kwargs.get("profile_sink"),
+            )
+        else:
+            kwargs: Dict[str, Any] = {
+                "model_factories": build_model_factories(cell),
+                "scheduler_factory": build_scheduler_factory(cell),
+                "telemetry": cell.telemetry,
+                **run_kwargs,
+            }
+            result = run_workload(
+                cell.mix,
+                cell.config,
+                quanta=cell.quanta,
+                check_invariants=check_invariants,
+                wall_clock_budget_s=wall_clock_budget_s,
+                **kwargs,
+            )
+    except Exception as exc:  # noqa: BLE001 - isolated and reported
+        diagnosis = getattr(exc, "diagnosis", None)
+        return {
+            "ok": False,
+            "exc": exc,
+            "error_type": type(exc).__name__,
+            "message": str(exc),
+            "traceback": "".join(
+                _traceback.format_exception(type(exc), exc, exc.__traceback__)
+            ),
+            "diagnosis": dict(diagnosis) if isinstance(diagnosis, dict) else {},
+        }
+    payload: Payload = {"ok": True, "result": result}
+    if captured:
+        payload["wall_s"] = captured[0].wall_time_s
+        payload["events"] = captured[0].events_executed
+    if run_metrics is not None:
+        # Snapshots are plain dicts: picklable as-is.
+        payload["metrics"] = run_metrics.snapshots
+    return payload
 
 
 def _profile_worker(task: ProfileTask) -> Optional[AloneProfile]:
@@ -177,48 +232,127 @@ class _CellTask:
     profile: bool = False
 
 
-def _cell_worker(task: _CellTask) -> Dict[str, Any]:
-    spec = task.spec
-    try:
-        cache = AloneRunCache()
-        cache.absorb(task.profiles)
-        captured: List[RunProfile] = []
-        run_metrics = MetricsRegistry() if task.profile else None
-        if spec.config.engine == "analytic":
-            result = run_analytic(
-                spec.mix,
-                spec.config,
-                quanta=spec.quanta,
-                profile_sink=captured.append if task.profile else None,
-            )
-        else:
-            result = run_workload(
-                spec.mix,
-                spec.config,
-                model_factories=build_model_factories(spec),
-                scheduler_factory=build_scheduler_factory(spec),
-                quanta=spec.quanta,
-                alone_cache=cache,
-                check_invariants=task.check_invariants,
-                wall_clock_budget_s=task.wall_clock_budget_s,
-                telemetry=spec.telemetry,
-                profile_sink=captured.append if task.profile else None,
-                run_metrics=run_metrics,
-            )
-        payload: Dict[str, Any] = {"ok": True, "result": result}
-        if captured:
-            payload["wall_s"] = captured[0].wall_time_s
-            payload["events"] = captured[0].events_executed
-        if run_metrics is not None:
-            # Snapshots are plain dicts: picklable as-is.
-            payload["metrics"] = run_metrics.snapshots
-        return payload
-    except Exception as exc:  # noqa: BLE001 - isolated and reported
-        return {"ok": False, **_error_payload(exc)}
+def _cell_worker(task: _CellTask) -> Payload:
+    cache = AloneRunCache()
+    cache.absorb(task.profiles)
+    payload = attempt_cell(
+        task.spec,
+        check_invariants=task.check_invariants,
+        wall_clock_budget_s=task.wall_clock_budget_s,
+        profile=task.profile,
+        alone_cache=cache,
+    )
+    # The parent raises WorkerRunError from the error fields; the
+    # exception itself stays here (not every exception pickles).
+    payload.pop("exc", None)
+    return payload
 
 
 # ----------------------------------------------------------------------
-# Parent-side orchestration.
+# The supervisor.
+
+def supervise(
+    campaign: "Campaign",
+    cells: Sequence[CellSpec],
+    attempt: Callable[[List[int]], List[Payload]],
+) -> List[Optional[RunResult]]:
+    """Run ``cells`` under ``campaign``'s fault/checkpoint discipline.
+
+    ``attempt`` takes the indices of the cells to try this round (the
+    first round is every cell not resumed) and returns one
+    :func:`attempt_cell` payload per index, in order. Returns one entry
+    per cell: the :class:`RunResult`, or ``None`` for a failure that
+    ``keep_going`` captured.
+    """
+    results: List[Optional[RunResult]] = [None] * len(cells)
+    keys = [
+        campaign.run_key(
+            cell.mix, cell.config, cell.quanta, cell.variant,
+            telemetry=cell.telemetry,
+        )
+        for cell in cells
+    ]
+    store = campaign.store
+    active: List[int] = []
+    for i, cell in enumerate(cells):
+        cached = (
+            store.get_run(keys[i])
+            if campaign.resume and store is not None else None
+        )
+        if cached is None:
+            active.append(i)
+        else:
+            results[i] = result_from_json(cached, cell.config)
+            campaign.resumed += 1
+    attempts = dict.fromkeys(active, 0)
+    started: Dict[int, float] = {}
+    fingerprints: Dict[int, str] = {}
+    while active:
+        now = time.monotonic()
+        for i in active:
+            started.setdefault(i, now)
+        retry: List[int] = []
+        backoff = 0.0
+        for i, payload in zip(active, attempt(active)):
+            cell = cells[i]
+            attempts[i] += 1
+            if payload["ok"]:
+                if attempts[i] > 1:
+                    campaign.note_retry_success(fingerprints[i])
+                result = results[i] = payload["result"]
+                if store is not None:
+                    store.put_run(keys[i], result_to_json(result))
+                campaign.computed += 1
+                if "wall_s" in payload:
+                    campaign.record_timing(
+                        cell.mix.name, cell.variant, cell.quanta,
+                        payload["wall_s"], payload["events"],
+                    )
+                if store is not None and payload.get("metrics"):
+                    store.put_metrics(keys[i], payload["metrics"])
+                continue
+            failure = RunFailure(
+                experiment=campaign.experiment,
+                variant=cell.variant,
+                mix_name=cell.mix.name,
+                mix_seed=cell.mix.seed,
+                specs=[dataclasses.asdict(spec) for spec in cell.mix.specs],
+                config_fingerprint=config_fingerprint(cell.config),
+                quanta=cell.quanta,
+                error_type=payload["error_type"],
+                message=payload["message"],
+                traceback=payload.get("traceback", ""),
+                diagnosis=payload.get("diagnosis") or {},
+                telemetry=(
+                    cell.telemetry.to_json()
+                    if cell.telemetry is not None else None
+                ),
+            )
+            fingerprint = fingerprints[i] = failure.fingerprint()
+            campaign.breaker.record_failure(
+                fingerprint, failure.error_type, failure.message
+            )
+            elapsed = time.monotonic() - started[i]
+            if campaign.may_retry(fingerprint, attempts[i], elapsed):
+                campaign.note_retry(fingerprint)
+                backoff = max(
+                    backoff,
+                    campaign.retry_policy.delay_s(attempts[i], fingerprint),
+                )
+                retry.append(i)
+                continue
+            campaign.record_give_up(failure, attempts[i], elapsed)
+            if not campaign.keep_going:
+                exc = payload.get("exc")
+                raise exc if exc is not None else WorkerRunError(failure)
+        if retry and backoff > 0:
+            time.sleep(backoff)
+        active = retry
+    return results
+
+
+# ----------------------------------------------------------------------
+# The process pool.
 
 def _run_tasks(
     fn: Callable[[Any], Any], payloads: Sequence[Any], workers: int
@@ -261,120 +395,37 @@ def _run_tasks(
     return cast(List[Tuple[str, Any]], outcomes)
 
 
-def _failure_from_payload(
-    campaign: "Campaign", cell: CellSpec, payload: Dict[str, Any]
-) -> RunFailure:
-    return RunFailure(
-        experiment=campaign.experiment,
-        variant=cell.variant,
-        mix_name=cell.mix.name,
-        mix_seed=cell.mix.seed,
-        specs=[dataclasses.asdict(spec) for spec in cell.mix.specs],
-        config_fingerprint=config_fingerprint(cell.config),
-        quanta=cell.quanta,
-        error_type=payload["error_type"],
-        message=payload["message"],
-        traceback=payload.get("traceback", ""),
-        diagnosis=payload.get("diagnosis") or {},
-        telemetry=cell.telemetry.to_json() if cell.telemetry is not None else None,
-    )
-
-
-def _cell_fingerprint(campaign: "Campaign", cell: CellSpec) -> str:
-    """The cell-identity fingerprint the circuit breaker keys on.
-
-    Matches :meth:`RunFailure.fingerprint` — the failing *cell*, not the
-    failing error — so parent-side success bookkeeping and worker-side
-    failure records land on the same breaker entry.
-    """
-    return _failure_from_payload(
-        campaign, cell, {"error_type": "", "message": ""}
-    ).fingerprint()
-
-
-def _alone_cycles(cell: CellSpec) -> int:
+def _alone_tasks(cell: CellSpec) -> List[Tuple[ProfileKey, ProfileTask]]:
+    """The alone profiles ``cell`` looks up, keyed as the cache keys them."""
+    if cell.config.engine == "analytic":
+        return []  # closed form: no alone profiles to collect
     # Must match run_workload: profiles cover one quantum beyond the run.
-    return (cell.quanta + 1) * cell.config.quantum_cycles
-
-
-def _with_fidelity(cell: CellSpec) -> CellSpec:
-    """``cell`` with its declared fidelity folded into ``config.engine``."""
-    config = resolve_fidelity(cell.config, cell.fidelity)
-    if config is cell.config:
-        return cell
-    return dataclasses.replace(cell, config=config)
-
-
-def run_cells(
-    campaign: "Campaign",
-    cells: Sequence[CellSpec],
-    *,
-    workers: int = 1,
-) -> List[Optional[RunResult]]:
-    """Run ``cells`` under ``campaign``'s fault/checkpoint discipline.
-
-    Returns one entry per cell, in order: the :class:`RunResult`, or
-    ``None`` for cells whose failure was captured by ``keep_going``.
-    ``workers=1`` delegates to :meth:`Campaign.run_mix` serially; results
-    are identical either way.
-
-    Cells declaring a :attr:`CellSpec.fidelity` tier have it folded into
-    ``config.engine`` up front, so store keys, resume and dispatch all see
-    the resolved engine. Analytic cells skip phase 1 entirely — the alone
-    fixed point is part of the closed form (see :mod:`repro.analytic`).
-    """
-    cells = [_with_fidelity(cell) for cell in cells]
-    if workers <= 1:
-        cache = campaign.alone_cache()
-        return [
-            campaign.run_mix(
-                cell.mix,
-                cell.config,
-                quanta=cell.quanta,
-                variant=cell.variant,
-                model_factories=build_model_factories(cell),
-                scheduler_factory=build_scheduler_factory(cell),
-                alone_cache=cache,
-                telemetry=cell.telemetry,
-            )
-            for cell in cells
-        ]
-
-    results: List[Optional[RunResult]] = [None] * len(cells)
-    keys = [
-        campaign.run_key(
-            cell.mix, cell.config, cell.quanta, cell.variant,
-            telemetry=cell.telemetry,
+    cycles = (cell.quanta + 1) * cell.config.quantum_cycles
+    return [
+        (
+            AloneRunCache._key(cell.mix, core, cell.config, cycles),
+            (cell.mix, core, cell.config, cycles),
         )
-        for cell in cells
+        for core in range(cell.mix.num_cores)
     ]
-    pending: List[int] = []
-    for i, cell in enumerate(cells):
-        if campaign.resume and campaign.store is not None:
-            cached = campaign.store.get_run(keys[i])
-            if cached is not None:
-                results[i] = result_from_json(cached, cell.config)
-                campaign.resumed += 1
-                continue
-        pending.append(i)
-    if not pending:
-        return results
 
-    # Phase 1: dedup the alone profiles the pending cells need, reuse what
-    # the campaign's cache already holds, compute the rest in the pool.
+
+def _collect_alone_profiles(
+    campaign: "Campaign", cells: Sequence[CellSpec], workers: int
+) -> Dict[ProfileKey, AloneProfile]:
+    """The alone profiles ``cells`` need, from the campaign's cache or
+    computed once each in the pool; a profile that fails is left out.
+
+    The cache counts one lookup per (cell, core), as a serial sweep does:
+    a key's first lookup is a hit, store hit or miss, each repeat a hit.
+    """
     cache = campaign.alone_cache()
     needed: Dict[ProfileKey, ProfileTask] = {}
-    cell_keys: Dict[int, List[ProfileKey]] = {}
-    for i in pending:
-        cell = cells[i]
-        cell_keys[i] = []
-        if cell.config.engine == "analytic":
-            continue  # closed form: no alone profiles to collect
-        cycles = _alone_cycles(cell)
-        for core in range(cell.mix.num_cores):
-            key = AloneRunCache._key(cell.mix, core, cell.config, cycles)
-            cell_keys[i].append(key)
-            needed.setdefault(key, (cell.mix, core, cell.config, cycles))
+    lookups: Dict[ProfileKey, int] = {}
+    for cell in cells:
+        for key, task in _alone_tasks(cell):
+            needed.setdefault(key, task)
+            lookups[key] = lookups.get(key, 0) + 1
 
     have: Dict[ProfileKey, AloneProfile] = {}
     missing: List[ProfileKey] = []
@@ -396,98 +447,105 @@ def run_cells(
                 have[key] = profile
                 cache.misses += 1
                 cache.seed_profile(*needed[key], profile)
+    cache.hits += sum(lookups[key] - 1 for key in have)
+    return have
 
-    # Phase 2: fan the cells out. A cell whose profile failed above ships
-    # without it; its worker recomputes the profile, so that failure goes
-    # through the same breaker and retry rounds as any other cell failure.
-    def _task_for(i: int) -> _CellTask:
-        return _CellTask(
-            spec=cells[i],
-            profiles=tuple(
-                (key, have[key]) for key in cell_keys[i] if key in have
-            ),
-            check_invariants=campaign.check_invariants,
-            wall_clock_budget_s=campaign.wall_clock_budget_s,
-            profile=campaign.profile,
-        )
 
-    fanout_start = perf_counter() if campaign.profile else 0.0
-    busy_s = 0.0
-    fanout_elapsed = 0.0
-    attempts: Dict[int, int] = {i: 0 for i in pending}
-    dispatched: Dict[int, float] = {}
-    active = list(pending)
-    while active:
-        now = time.monotonic()
-        for i in active:
-            dispatched.setdefault(i, now)
-        outcomes = _run_tasks(
-            _cell_worker, [_task_for(i) for i in active], workers
-        )
-        next_round: List[int] = []
-        backoff = 0.0
-        for i, (kind, value) in zip(active, outcomes):
-            attempts[i] += 1
-            if kind == "crash":
-                payload: Dict[str, Any] = {
-                    "error_type": "WorkerCrash", "message": value,
-                }
-            elif value["ok"]:
-                result = value["result"]
-                if campaign.store is not None:
-                    campaign.store.put_run(keys[i], result_to_json(result))
-                campaign.computed += 1
-                results[i] = result
-                if attempts[i] > 1:
-                    campaign.note_retry_success(
-                        _cell_fingerprint(campaign, cells[i])
-                    )
-                if "wall_s" in value:
-                    busy_s += value["wall_s"]
-                    campaign.record_timing(
-                        cells[i].mix.name, cells[i].variant, cells[i].quanta,
-                        value["wall_s"], value.get("events", 0),
-                    )
-                if campaign.store is not None and value.get("metrics"):
-                    campaign.store.put_metrics(keys[i], value["metrics"])
-                continue
-            else:
-                payload = value
-            failure = _failure_from_payload(campaign, cells[i], payload)
-            fingerprint = failure.fingerprint()
-            campaign.breaker.record_failure(
-                fingerprint, failure.error_type, failure.message
+def _with_fidelity(cell: CellSpec) -> CellSpec:
+    """``cell`` with its declared fidelity folded into ``config.engine``."""
+    config = resolve_fidelity(cell.config, cell.fidelity)
+    if config is cell.config:
+        return cell
+    return dataclasses.replace(cell, config=config)
+
+
+def run_cells(
+    campaign: "Campaign",
+    cells: Sequence[CellSpec],
+    *,
+    workers: int = 1,
+) -> List[Optional[RunResult]]:
+    """Run ``cells`` under ``campaign``'s fault/checkpoint discipline.
+
+    Returns one entry per cell, in order: the :class:`RunResult`, or
+    ``None`` for cells whose failure was captured by ``keep_going``.
+    ``workers=1`` calls :meth:`Campaign.run_mix` cell by cell; more
+    workers :func:`supervise` all cells at once, attempting each round in
+    a process pool. Results are identical either way.
+
+    Cells declaring a :attr:`CellSpec.fidelity` tier have it folded into
+    ``config.engine`` up front, so store keys, resume and dispatch all see
+    the resolved engine. Analytic cells need no alone profiles: the alone
+    fixed point is part of the closed form (see :mod:`repro.analytic`).
+    """
+    cells = [_with_fidelity(cell) for cell in cells]
+    if workers <= 1:
+        cache = campaign.alone_cache()
+        return [
+            campaign.run_mix(
+                cell.mix,
+                cell.config,
+                quanta=cell.quanta,
+                variant=cell.variant,
+                model_factories=build_model_factories(cell),
+                scheduler_factory=build_scheduler_factory(cell),
+                alone_cache=cache,
+                telemetry=cell.telemetry,
             )
-            elapsed = time.monotonic() - dispatched[i]
-            if campaign.may_retry(fingerprint, attempts[i], elapsed):
-                campaign.note_retry(fingerprint)
-                backoff = max(
-                    backoff,
-                    campaign.retry_policy.delay_s(attempts[i], fingerprint),
-                )
-                next_round.append(i)
-            else:
-                campaign.record_give_up(failure, attempts[i], elapsed)
-                if not campaign.keep_going:
-                    raise WorkerRunError(failure)
-        if next_round and backoff > 0:
-            time.sleep(backoff)
-        active = next_round
-    if campaign.profile:
-        fanout_elapsed = perf_counter() - fanout_start
-    if campaign.profile and fanout_elapsed > 0 and busy_s > 0:
-        # Busy fraction of the pool during the cell fan-out: 1.0 means
-        # every worker simulated for the whole phase.
-        campaign.pool_utilization = min(
-            1.0, busy_s / (fanout_elapsed * workers)
-        )
+            for cell in cells
+        ]
+
+    shipped: Optional[Dict[ProfileKey, AloneProfile]] = None
+    pool_s = 0.0
+
+    def attempt_round(indices: List[int]) -> List[Payload]:
+        nonlocal shipped, pool_s
+        if shipped is None:
+            # The first round holds every cell the supervisor did not resume.
+            shipped = _collect_alone_profiles(
+                campaign, [cells[i] for i in indices], workers
+            )
+        profiles = shipped
+        tasks = [
+            _CellTask(
+                spec=cells[i],
+                profiles=tuple(
+                    (key, profiles[key])
+                    for key, _ in _alone_tasks(cells[i])
+                    if key in profiles
+                ),
+                check_invariants=campaign.check_invariants,
+                wall_clock_budget_s=campaign.wall_clock_budget_s,
+                profile=campaign.profile,
+            )
+            for i in indices
+        ]
+        round_start = perf_counter()
+        outcomes = _run_tasks(_cell_worker, tasks, workers)
+        pool_s += perf_counter() - round_start
+        return [
+            value if kind == "ok"
+            else {"ok": False, "error_type": "WorkerCrash", "message": value}
+            for kind, value in outcomes
+        ]
+
+    timed = len(campaign.cell_timings)
+    results = supervise(campaign, cells, attempt_round)
+    # Cell timings exist only when profiling.
+    busy_s = sum(t.wall_s for t in campaign.cell_timings[timed:])
+    if pool_s > 0 and busy_s > 0:
+        # Busy fraction of the pool during the cell rounds: 1.0 means
+        # every worker simulated for the whole time.
+        campaign.pool_utilization = min(1.0, busy_s / (pool_s * workers))
     return results
 
 
 __all__ = [
     "CellSpec",
     "WorkerRunError",
+    "attempt_cell",
     "build_model_factories",
     "build_scheduler_factory",
     "run_cells",
+    "supervise",
 ]

@@ -27,17 +27,23 @@ recovers by skipping; checksum-mismatched records are skipped too and
 ``repro campaign verify|repair`` reports/quarantines them. Legacy (v1)
 plain-JSONL stores load transparently and upgrade on repair.
 
-Retry supervision (``retry_policy``): failed cells are re-attempted
-under a :class:`~repro.durability.retry.RetryPolicy` with a per-cell
-circuit breaker; cells that exhaust their attempts/budget leave a
-structured :class:`~repro.durability.retry.DegradedCell` record.
+Every cell runs under one supervisor, :func:`repro.parallel.supervise`:
+:meth:`Campaign.run_mix` supervises a single cell with in-process
+attempts, :meth:`Campaign.run_cells` either calls it cell by cell
+(``workers=1``) or supervises the whole batch with attempts in a process
+pool. The supervisor resumes stored cells, retries failed ones under a
+:class:`~repro.durability.retry.RetryPolicy` with a per-cell circuit
+breaker, records the cells that exhaust their attempts/budget (a
+:class:`~repro.resilience.faults.RunFailure` plus a structured
+:class:`~repro.durability.retry.DegradedCell`) and commits the rest. This
+module holds the state it works on: the store, the alone-run cache, the
+breaker and the counters (:meth:`Campaign.may_retry` and friends).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-import time
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -51,10 +57,8 @@ from repro.harness.runner import (
     AloneProfile,
     AloneRunCache,
     QuantumRecord,
-    RunProfile,
     RunResult,
     run_alone,
-    run_workload,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.faults import (
@@ -323,8 +327,9 @@ class PersistentAloneRunCache(AloneRunCache):
 class Campaign:
     """Fault isolation + checkpoint/resume around a sweep of per-mix runs.
 
-    Experiment drivers call :meth:`run_mix` instead of ``run_workload``;
-    the campaign then
+    Experiment drivers call :meth:`run_mix` (or :meth:`run_cells`) instead
+    of ``run_workload``; through :func:`repro.parallel.supervise` the
+    campaign then
 
     * returns the persisted result without simulating when ``resume`` is
       set and the (mix, config, quanta) cell is already in the store;
@@ -341,7 +346,8 @@ class Campaign:
     * with ``profile`` set, times every computed cell (wall seconds,
       engine events — see :meth:`timing_table`) and snapshots a
       per-quantum :class:`~repro.obs.metrics.MetricsRegistry` into the
-      store's ``metrics.jsonl`` next to the run checkpoint. Profiling is
+      store's ``metrics.jsonl`` next to the run checkpoint (event cells
+      only: the analytic tier fills no metrics registry). Profiling is
       passive: the simulated results are bit-identical.
 
     With ``store_dir=None`` the campaign keeps fault isolation but skips
@@ -447,106 +453,30 @@ class Campaign:
     ) -> Optional[RunResult]:
         """Run one mix under the campaign's fault/checkpoint discipline.
 
-        Returns the :class:`RunResult`, or ``None`` when the run failed and
-        ``keep_going`` captured it."""
-        telemetry = run_kwargs.get("telemetry")
-        key = self.run_key(mix, config, quanta, variant, telemetry=telemetry)
-        if self.resume and self.store is not None:
-            cached = self.store.get_run(key)
-            if cached is not None:
-                self.resumed += 1
-                return result_from_json(cached, config)
-        captured_profiles: List[RunProfile] = []
-        run_metrics: Optional[MetricsRegistry] = None
-        owns_profile_sink = False
-        owns_run_metrics = False
-        if self.profile:
-            owns_profile_sink = "profile_sink" not in run_kwargs
-            if owns_profile_sink:
-                run_kwargs["profile_sink"] = captured_profiles.append
-            owns_run_metrics = "run_metrics" not in run_kwargs
-        policy = self.retry_policy
-        attempts = 0
-        last_fingerprint = ""
-        started = time.monotonic()
-        while True:
-            attempts += 1
-            # Fresh per-attempt mutables: counters and profiles from a
-            # failed attempt must not leak into the retry, or a retried
-            # cell's persisted metrics would differ from an
-            # uninterrupted run's.
-            if owns_profile_sink:
-                captured_profiles.clear()
-            if owns_run_metrics:
-                run_metrics = MetricsRegistry()
-                run_kwargs["run_metrics"] = run_metrics
-            try:
-                if config.engine == "analytic":
-                    # Closed-form surrogate: no System, no scheduler, no
-                    # telemetry — only the profile sink carries over.
-                    from repro.analytic.runner import run_analytic
+        One cell through :func:`repro.parallel.supervise`, attempted
+        in-process; ``run_kwargs`` pass to ``run_workload``. Returns the
+        :class:`RunResult`, or ``None`` when the run failed and
+        ``keep_going`` captured it; otherwise the run's exception raises."""
+        from repro.parallel import CellSpec, attempt_cell, supervise
 
-                    result = run_analytic(
-                        mix,
-                        config,
-                        quanta=quanta,
-                        profile_sink=run_kwargs.get("profile_sink"),
-                    )
-                else:
-                    result = run_workload(
-                        mix,
-                        config,
-                        quanta=quanta,
-                        check_invariants=self.check_invariants,
-                        wall_clock_budget_s=self.wall_clock_budget_s,
-                        **run_kwargs,
-                    )
-            except KeyboardInterrupt:
-                raise
-            except Exception as exc:
-                failure = RunFailure.from_exception(
-                    exc,
-                    experiment=self.experiment,
-                    variant=variant,
-                    mix=mix,
-                    config=config,
-                    quanta=quanta,
-                    telemetry=(
-                        telemetry.to_json() if telemetry is not None else None
-                    ),
-                )
-                fingerprint = last_fingerprint = failure.fingerprint()
-                self.breaker.record_failure(
-                    fingerprint, failure.error_type, failure.message
-                )
-                elapsed = time.monotonic() - started
-                if self.may_retry(fingerprint, attempts, elapsed):
-                    self.note_retry(fingerprint)
-                    delay = policy.delay_s(attempts, fingerprint)
-                    if delay > 0:
-                        time.sleep(delay)
-                    continue
-                self.record_give_up(failure, attempts, elapsed)
-                if not self.keep_going:
-                    raise
-                return None
-            break  # attempt succeeded
-        if attempts > 1:
-            self.note_retry_success(last_fingerprint)
-        if self.store is not None:
-            self.store.put_run(key, result_to_json(result))
-        self.computed += 1
-        if captured_profiles:
-            profile = captured_profiles[0]
-            self.record_timing(
-                mix.name, variant, quanta,
-                profile.wall_time_s, profile.events_executed,
-            )
-        if run_metrics is not None and self.store is not None:
-            self.store.put_metrics(key, run_metrics.snapshots)
-        return result
+        cell = CellSpec(
+            mix, config, quanta, variant, telemetry=run_kwargs.get("telemetry")
+        )
 
-    # -- retry supervision (shared by run_mix and repro.parallel) -------
+        def attempt(_indices: List[int]) -> List[dict]:
+            return [
+                attempt_cell(
+                    cell,
+                    check_invariants=self.check_invariants,
+                    wall_clock_budget_s=self.wall_clock_budget_s,
+                    profile=self.profile,
+                    **run_kwargs,
+                )
+            ]
+
+        return supervise(self, [cell], attempt)[0]
+
+    # -- retry bookkeeping (used by repro.parallel.supervise) ------------
     def may_retry(
         self, cell_fingerprint: str, attempts: int, elapsed_s: float
     ) -> bool:

@@ -63,20 +63,47 @@ def test_run_cells_parallel_matches_serial_results():
     assert [r.records for r in serial] == [r.records for r in parallel]
 
 
-def test_parallel_results_bit_identical_to_serial():
+@pytest.mark.parametrize("fidelity", ["event", "analytical"])
+def test_parallel_results_bit_identical_to_serial(tmp_path, fidelity):
     """The determinism contract DET001/DET002 protect statically: the
     *serialized* records of a parallel sweep are byte-for-byte equal to a
-    serial one — float formatting included, not just value equality."""
+    serial one — float formatting included, not just value equality. So
+    is every file of a profiled campaign store, and so is the campaign
+    summary (alone-cache hits included: two variants of one mix share
+    their alone profiles)."""
     import json
 
     from repro.resilience.campaign import result_to_json
 
-    cells = [_cell(mix) for mix in _mixes(2)]
-    serial = Campaign("t", None).run_cells(cells, workers=1)
-    parallel = Campaign("t", None).run_cells(cells, workers=2)
+    cells = [
+        CellSpec(
+            mix=mix,
+            config=CONFIG,
+            quanta=2,
+            variant=variant,
+            model_builder=benign_model_factories,
+            fidelity=fidelity,
+        )
+        for mix in _mixes(2)
+        for variant in ("a", "b")
+    ]
+    runs = {}
+    for workers in (1, 2):
+        store = tmp_path / f"w{workers}"
+        campaign = Campaign("t", str(store), profile=True)
+        results = campaign.run_cells(cells, workers=workers)
+        files = {path.name: path.read_bytes() for path in store.iterdir()}
+        runs[workers] = (results, files, campaign.summary())
+    serial, serial_files, serial_summary = runs[1]
+    parallel, parallel_files, parallel_summary = runs[2]
     for left, right in zip(serial, parallel):
         assert json.dumps(result_to_json(left), sort_keys=True) == \
             json.dumps(result_to_json(right), sort_keys=True)
+    assert "runs.jsonl" in serial_files
+    assert sorted(serial_files) == sorted(parallel_files)
+    for name, data in serial_files.items():
+        assert data == parallel_files[name], name
+    assert serial_summary == parallel_summary
 
 
 def test_random_mixes_independent_of_count():

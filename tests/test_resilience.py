@@ -57,15 +57,17 @@ def test_stable_hash_is_deterministic(config):
 
 def test_run_failure_roundtrip_and_rebuild(config):
     mix = _mixes(1)[0]
-    try:
-        raise RuntimeError("boom")
-    except RuntimeError as exc:
-        failure = RunFailure.from_exception(
-            exc, experiment="t", variant="v", mix=mix, config=config, quanta=2
-        )
-    assert failure.error_type == "RuntimeError"
-    assert "boom" in failure.message
-    assert "RuntimeError" in failure.traceback
+    campaign = Campaign("t", keep_going=True)
+    assert campaign.run_mix(
+        mix, config, quanta=2, variant="v",
+        model_factories={"exploding": lambda: ExplodingModel(explode_at=0)},
+    ) is None
+    [failure] = campaign.failures
+    assert (failure.experiment, failure.variant, failure.quanta) == ("t", "v", 2)
+    assert failure.config_fingerprint == config_fingerprint(config)
+    assert failure.error_type == "InjectedFault"
+    assert "injected model fault" in failure.message
+    assert "InjectedFault" in failure.traceback
     restored = RunFailure.from_json(json.loads(json.dumps(failure.to_json())))
     assert restored == failure
     rebuilt = rebuild_mix(restored)
