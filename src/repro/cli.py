@@ -142,6 +142,17 @@ DESCRIPTIONS = {
 
 DEFAULT_CAMPAIGN_DIR = os.path.join("results", ".campaign")
 
+#: Driver ``run`` parameter -> the flags that act only through it, and
+#: what a run of a driver without that parameter does instead.
+_FLAGS_BY_PARAM = (
+    ("workers", ("--workers",), "running serially"),
+    ("telemetry", ("--telemetry-faults",), "running with perfect telemetry"),
+    ("fidelity", ("--fidelity",), "running at the event tier"),
+    ("campaign", ("--resume", "--keep-going", "--check-invariants",
+                  "--wall-clock-budget", "--max-retries", "--cell-budget",
+                  "--profile"), "ignoring it"),
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -217,6 +228,23 @@ def _unknown_experiment(name: str) -> int:
     return 2
 
 
+def _warn_unsupported(
+    parser: argparse.ArgumentParser, args: argparse.Namespace, runner
+) -> None:
+    """Name each given flag the driver's ``run`` has no parameter for."""
+    supports = getattr(runner, "supports", ())
+    for param, flags, fallback in _FLAGS_BY_PARAM:
+        if param in supports:
+            continue
+        for flag in flags:
+            dest = flag.lstrip("-").replace("-", "_")
+            if getattr(args, dest) != parser.get_default(dest):
+                sys.stderr.write(
+                    f"repro: '{args.experiment}' does not support "
+                    f"{flag}; {fallback}.\n"
+                )
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -238,7 +266,8 @@ def main(argv=None) -> int:
         from repro.cloud.cli import cloud_main
 
         return cloud_main(argv[1:])
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.experiment == "list":
         for name in sorted(EXPERIMENTS):
             print(f"{name:14s} {DESCRIPTIONS[name]}")
@@ -282,11 +311,7 @@ def main(argv=None) -> int:
     )
 
     runner = EXPERIMENTS[args.experiment]
-    if args.workers > 1 and "workers" not in getattr(runner, "supports", ()):
-        sys.stderr.write(
-            f"repro: '{args.experiment}' does not support --workers; "
-            "running serially.\n"
-        )
+    _warn_unsupported(parser, args, runner)
     telemetry = None
     if args.telemetry_faults:
         from repro.telemetry import TelemetrySpec
@@ -298,20 +323,6 @@ def main(argv=None) -> int:
         except ValueError as exc:
             sys.stderr.write(f"repro: {exc}\n")
             return 2
-        if "telemetry" not in getattr(runner, "supports", ()):
-            sys.stderr.write(
-                f"repro: '{args.experiment}' does not support "
-                "--telemetry-faults; running with perfect telemetry.\n"
-            )
-            telemetry = None
-
-    fidelity = args.fidelity
-    if fidelity and "fidelity" not in getattr(runner, "supports", ()):
-        sys.stderr.write(
-            f"repro: '{args.experiment}' does not support --fidelity; "
-            "running at the event tier.\n"
-        )
-        fidelity = None
 
     start = time.time()
     result = runner(
@@ -321,7 +332,7 @@ def main(argv=None) -> int:
         campaign=campaign,
         workers=args.workers if args.workers > 1 else None,
         telemetry=telemetry,
-        fidelity=fidelity,
+        fidelity=args.fidelity,
     )
     table = result.format_table()
     print(table)

@@ -19,7 +19,7 @@ cannot enforce cheaply at runtime:
 ``repro.lintkit`` proves the cheap half of these statically: a small
 AST-visitor framework (:mod:`repro.lintkit.base`) hosts simulator-specific
 rules (:mod:`repro.lintkit.rules`), with per-line ``# lint: ignore[RULE]``
-suppressions, a JSON baseline for grandfathered findings, and human / JSON
+suppressions as the one way to excuse a finding, and human / JSON / SARIF
 output. Run it with ``python -m repro.lintkit src/`` or the ``repro-lint``
 console script.
 """

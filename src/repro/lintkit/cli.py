@@ -1,15 +1,15 @@
 """Command-line driver: ``repro-lint`` / ``python -m repro.lintkit``.
 
-Exit codes: 0 clean (or everything suppressed/grandfathered), 1 findings
+Exit codes: 0 clean (or every finding suppressed inline), 1 findings
 (or wall-time budget exceeded), 2 usage or internal error.
 
 The tree is parsed exactly once: per-file rules run per module, then the
 whole-program rules (NDT001/UNIT001/PUR001) run over one
 :class:`~repro.lintkit.flow.project.Project` built from every parsed
-file. ``--changed-only`` still parses the full tree — project rules need
-the whole symbol table to resolve calls — and only *reports* findings in
-files changed relative to a git ref, so PR lint stays fast to read while
-staying whole-program sound.
+file. Every finding is reported wherever it lands: a whole-program
+finding can sit in a file the change never touched. The one way to
+excuse a finding is an inline ``# lint: ignore[RULE] -- reason`` at its
+line.
 """
 
 from __future__ import annotations
@@ -17,12 +17,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import subprocess
 import sys
 import time
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence
 
-from repro.lintkit import baseline as baseline_mod
 from repro.lintkit.base import (
     Finding,
     all_rules,
@@ -57,26 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="output format",
     )
     parser.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help=(
-            "baseline file of grandfathered findings (default: "
-            f"{baseline_mod.DEFAULT_BASELINE_NAME} in the cwd, if present)"
-        ),
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--changed-only", metavar="REF", nargs="?", const="HEAD",
-        default=None,
-        help=(
-            "report findings only in files changed vs the given git ref "
-            "(default HEAD); the whole tree is still parsed so "
-            "whole-program rules resolve across unchanged files"
-        ),
-    )
-    parser.add_argument(
         "--budget-seconds", type=float, metavar="S", default=None,
         help=(
             "fail (exit 1) if parsing + linting takes longer than S "
@@ -100,40 +78,6 @@ def _list_rules() -> int:
         print(f"{code}  [{rule_cls.severity}]  {rule_cls.summary}")
         print(f"        gated to: {gate}")
     return 0
-
-
-def _changed_files(ref: str) -> Optional[Set[str]]:
-    """Absolute paths of files changed vs ``ref`` (None on git failure)."""
-    try:
-        proc = subprocess.run(
-            ["git", "diff", "--name-only", "--diff-filter=ACMR", ref],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    changed = {
-        os.path.abspath(line.strip())
-        for line in proc.stdout.splitlines()
-        if line.strip()
-    }
-    # Untracked files are changes too (git diff does not list them).
-    try:
-        untracked = subprocess.run(
-            ["git", "ls-files", "--others", "--exclude-standard"],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        changed.update(
-            os.path.abspath(line.strip())
-            for line in untracked.stdout.splitlines()
-            if line.strip()
-        )
-    except (OSError, subprocess.CalledProcessError):
-        pass
-    return changed
 
 
 def sarif_report(findings: Sequence[Finding]) -> Dict[str, object]:
@@ -196,7 +140,6 @@ def sarif_report(findings: Sequence[Finding]) -> Dict[str, object]:
 def _emit(
     findings: Sequence[Finding],
     fmt: str,
-    grandfathered: int,
     scanned: int,
     quiet: bool,
 ) -> None:
@@ -205,7 +148,6 @@ def _emit(
             json.dumps(
                 {
                     "findings": [f.to_json() for f in findings],
-                    "grandfathered": grandfathered,
                     "files_scanned": scanned,
                 },
                 indent=2,
@@ -221,8 +163,7 @@ def _emit(
         noun = "finding" if len(findings) == 1 else "findings"
         print(f"\nrepro-lint: {len(findings)} {noun} in {scanned} files", file=sys.stderr)
     elif not quiet:
-        extra = f" ({grandfathered} grandfathered)" if grandfathered else ""
-        print(f"repro-lint: clean — {scanned} files{extra}", file=sys.stderr)
+        print(f"repro-lint: clean — {scanned} files", file=sys.stderr)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -248,58 +189,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         return 2
 
-    changed: Optional[Set[str]] = None
-    if args.changed_only is not None:
-        changed = _changed_files(args.changed_only)
-        if changed is None:
-            print(
-                "repro-lint: --changed-only requires a git checkout and "
-                f"a valid ref (got {args.changed_only!r})",
-                file=sys.stderr,
-            )
-            return 2
-
     started = time.monotonic()
     parsed = parse_paths(args.paths)
     findings = lint_parsed(parsed, select=select)
     elapsed = time.monotonic() - started
     scanned = len(parsed)
-    sources: Dict[str, List[str]] = {
-        p.path: p.ctx.lines for p in parsed if p.ctx is not None
-    }
 
-    if changed is not None:
-        findings = [
-            f for f in findings if os.path.abspath(f.path) in changed
-        ]
-
-    baseline_path = args.baseline
-    if baseline_path is None and os.path.isfile(
-        baseline_mod.DEFAULT_BASELINE_NAME
-    ):
-        baseline_path = baseline_mod.DEFAULT_BASELINE_NAME
-
-    if args.write_baseline:
-        target = baseline_path or baseline_mod.DEFAULT_BASELINE_NAME
-        baseline_mod.write(target, findings, sources)
-        print(
-            f"repro-lint: wrote {len(findings)} fingerprints to {target}",
-            file=sys.stderr,
-        )
-        return 0
-
-    grandfathered = 0
-    if baseline_path is not None:
-        try:
-            allowed = baseline_mod.load(baseline_path)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"repro-lint: bad baseline: {exc}", file=sys.stderr)
-            return 2
-        findings, grandfathered = baseline_mod.filter_baselined(
-            findings, sources, allowed
-        )
-
-    _emit(findings, args.format, grandfathered, scanned, args.quiet)
+    _emit(findings, args.format, scanned, args.quiet)
     if args.budget_seconds is not None and elapsed > args.budget_seconds:
         print(
             f"repro-lint: wall-time budget exceeded: {elapsed:.2f}s > "

@@ -63,7 +63,7 @@ from typing import (
     cast,
 )
 
-from repro.analytic.runner import resolve_fidelity, run_analytic
+from repro.analytic.runner import run_analytic
 from repro.config import SystemConfig
 from repro.harness.runner import (
     AloneProfile,
@@ -103,10 +103,6 @@ class CellSpec:
     scheduler_builder: Optional[Callable[..., Any]] = None
     scheduler_builder_args: Tuple[Any, ...] = ()
     telemetry: Optional[TelemetrySpec] = None
-    # Fidelity tier ("analytical" | "event", see docs/fidelity.md).
-    # Empty means unset: ``config.engine`` governs, so pre-fidelity call
-    # sites are unchanged.
-    fidelity: str = ""
 
 
 class WorkerRunError(RuntimeError):
@@ -451,14 +447,6 @@ def _collect_alone_profiles(
     return have
 
 
-def _with_fidelity(cell: CellSpec) -> CellSpec:
-    """``cell`` with its declared fidelity folded into ``config.engine``."""
-    config = resolve_fidelity(cell.config, cell.fidelity)
-    if config is cell.config:
-        return cell
-    return dataclasses.replace(cell, config=config)
-
-
 def run_cells(
     campaign: "Campaign",
     cells: Sequence[CellSpec],
@@ -473,12 +461,11 @@ def run_cells(
     workers :func:`supervise` all cells at once, attempting each round in
     a process pool. Results are identical either way.
 
-    Cells declaring a :attr:`CellSpec.fidelity` tier have it folded into
-    ``config.engine`` up front, so store keys, resume and dispatch all see
-    the resolved engine. Analytic cells need no alone profiles: the alone
-    fixed point is part of the closed form (see :mod:`repro.analytic`).
+    A cell's fidelity tier is its ``config.engine`` (see
+    :func:`~repro.analytic.runner.resolve_fidelity`). Analytic cells need
+    no alone profiles: the alone fixed point is part of the closed form
+    (see :mod:`repro.analytic`).
     """
-    cells = [_with_fidelity(cell) for cell in cells]
     if workers <= 1:
         cache = campaign.alone_cache()
         return [

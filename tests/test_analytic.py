@@ -123,7 +123,9 @@ def test_system_rejects_analytic_engine():
 def test_cellspec_fidelity_parallel_matches_serial():
     mixes = default_mixes(2, CONFIG.num_cores, seed=9)
     cells = [
-        CellSpec(mix=mix, config=CONFIG, quanta=2, fidelity="analytical")
+        CellSpec(
+            mix=mix, config=resolve_fidelity(CONFIG, "analytical"), quanta=2
+        )
         for mix in mixes
     ]
     serial = run_cells(Campaign("t", None), cells, workers=1)

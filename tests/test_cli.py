@@ -34,6 +34,41 @@ def test_parser_accepts_resilience_flags():
     assert args.campaign_dir == ""
 
 
+def test_flags_the_driver_cannot_take_are_warned(capsys, monkeypatch, tmp_path):
+    # A driver without a ``campaign`` (or ``workers``/``fidelity``)
+    # parameter cannot honour the flags that act through it: each given
+    # one is named on stderr instead of being dropped in silence.
+    import repro.cli as cli
+
+    class Table:
+        def format_table(self):
+            return "stub table"
+
+    calls = []
+
+    def run(quanta=1):
+        calls.append(quanta)
+        return Table()
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "stub", cli._fixed_scale(run))
+    campaign_flags = [
+        "--resume", "--keep-going", "--check-invariants", "--profile",
+        "--wall-clock-budget", "5", "--max-retries", "2",
+        "--cell-budget", "5",
+    ]
+    argv = ["stub", "--quanta", "3", "--campaign-dir", str(tmp_path)]
+    assert main(argv + campaign_flags + ["--workers", "2"]) == 0
+    assert calls == [3]
+    err = capsys.readouterr().err
+    for flag in [f for f in campaign_flags if f.startswith("--")]:
+        assert f"'stub' does not support {flag}; ignoring it." in err
+    assert "'stub' does not support --workers; running serially." in err
+    assert "--fidelity" not in err  # not given, not warned
+
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_removed_fidelity_tier_is_argparse_error(capsys):
     # Fidelity is analytical | event.
     with pytest.raises(SystemExit) as excinfo:

@@ -4,6 +4,7 @@ import pickle
 
 import pytest
 
+from repro.analytic.runner import resolve_fidelity
 from repro.config import scaled_config
 from repro.experiments.common import survey_errors
 from repro.harness.runner import AloneProfile, AloneRunCache, run_workload
@@ -78,11 +79,10 @@ def test_parallel_results_bit_identical_to_serial(tmp_path, fidelity):
     cells = [
         CellSpec(
             mix=mix,
-            config=CONFIG,
+            config=resolve_fidelity(CONFIG, fidelity),
             quanta=2,
             variant=variant,
             model_builder=benign_model_factories,
-            fidelity=fidelity,
         )
         for mix in _mixes(2)
         for variant in ("a", "b")
